@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import FullConfig, load_config
-from .costmodel import ablation_table, cost_report
+from .costmodel import ablation_table, cost_report, variants_for_axis
 from .data import PALETTE, gen_synthetic_dataset
 from .decoder import SegModel
 from .errors import ConfigError, DataError, NumericalError
@@ -152,8 +152,7 @@ def cmd_ablate(args) -> int:
             fh.write(table.to_csv())
     if args.train:
         print("\nsetting,val_miou")
-        from .costmodel import _variants_for_axis
-        for setting, dec_cfg in _variants_for_axis(args.axis, cfg):
+        for setting, dec_cfg in variants_for_axis(args.axis, cfg):
             variant_cfg = FullConfig(encoder=cfg.encoder, decoder=dec_cfg,
                                      train=cfg.train)
             model = _build_model(variant_cfg)

@@ -12,7 +12,6 @@ from .errors import ConfigError
 
 ATTENTION_VARIANTS = ("successive", "plain-cross", "self-on-concat")
 SCM_VARIANTS = ("eq6", "eq7", "eq8")
-DOWNSAMPLE_METHODS = ("bilinear", "avgpool")
 
 
 @dataclass
@@ -40,14 +39,12 @@ class EncoderConfig:
 class DecoderConfig:
     num_blocks: int = 4
     heads: tuple = (1, 1, 1)  # per output level 2, 3, 4
-    ffn_expansion: int = 4
     attention_variant: str = "successive"
     scm_variant: str = "eq6"
     head_channels: int = 32
     num_classes: int = 4
     ase_embed_dim: int | None = None
     attention_bias: bool = True
-    downsample: str = "bilinear"
 
     def validate(self):
         if self.num_blocks < 1:
@@ -61,11 +58,6 @@ class DecoderConfig:
         if self.scm_variant not in SCM_VARIANTS:
             raise ConfigError(
                 f"scm_variant must be one of {SCM_VARIANTS}, got {self.scm_variant!r}")
-        if self.ffn_expansion != 4:
-            raise ConfigError("ffn_expansion is fixed at 4")
-        if self.downsample not in DOWNSAMPLE_METHODS:
-            raise ConfigError(
-                f"downsample must be one of {DOWNSAMPLE_METHODS}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         return self
@@ -136,14 +128,12 @@ _SCHEMA = {
     "encoder_blocks_per_stage": ("encoder", "blocks_per_stage", int),
     "num_blocks": ("decoder", "num_blocks", int),
     "heads": ("decoder", "heads", _int_list),
-    "ffn_expansion": ("decoder", "ffn_expansion", int),
     "attention_variant": ("decoder", "attention_variant", str),
     "scm_variant": ("decoder", "scm_variant", str),
     "head_channels": ("decoder", "head_channels", int),
     "num_classes": ("decoder", "num_classes", int),
     "ase_embed_dim": ("decoder", "ase_embed_dim", _optional_int),
     "attention_bias": ("decoder", "attention_bias", _boolean),
-    "downsample": ("decoder", "downsample", str),
     "iterations": ("train", "iterations", int),
     "batch_size": ("train", "batch_size", int),
     "base_lr": ("train", "base_lr", float),

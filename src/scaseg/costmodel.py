@@ -64,11 +64,7 @@ def _conv(report, path, c_in, c_out, k, h, w, groups=1, bias=True):
     report.add(path, params, weights * h * w)
 
 
-def _bn(report, path, channels):
-    report.add(path, 2 * channels, 0)
-
-
-def _ln(report, path, channels):
+def _norm(report, path, channels):
     report.add(path, 2 * channels, 0)
 
 
@@ -79,7 +75,7 @@ def _linear(report, path, d_in, d_out, tokens, bias=True):
 
 def _conv_bn(report, path, c_in, c_out, k, h, w, bias=True):
     _conv(report, f"{path}.conv", c_in, c_out, k, h, w, bias=bias)
-    _bn(report, f"{path}.bn", c_out)
+    _norm(report, f"{path}.bn", c_out)
 
 
 def _attention(report, path, kv_dim, q_dim, embed, n_q, n_kv, bias=True):
@@ -102,10 +98,10 @@ def _mix_ffn(report, path, channels, h, w):
 
 def _sca_stage(report, path, kv_dim, q_dim, embed, heads, h, w, bias=True):
     n = h * w
-    _ln(report, f"{path}.ln_kv", kv_dim)
-    _ln(report, f"{path}.ln_q", q_dim)
+    _norm(report, f"{path}.ln_kv", kv_dim)
+    _norm(report, f"{path}.ln_q", q_dim)
     _attention(report, f"{path}.attn", kv_dim, q_dim, embed, n, n, bias)
-    _ln(report, f"{path}.ln_ffn", q_dim)
+    _norm(report, f"{path}.ln_ffn", q_dim)
     _mix_ffn(report, f"{path}.ffn", q_dim, h, w)
 
 
@@ -115,9 +111,9 @@ def _encoder_costs(report, cfg: EncoderConfig, H, W):
     for i, c in enumerate(cfg.channels):
         stride = 4 if i == 0 else 2
         h, w = h // stride, w // stride
-        _conv_bn(report, f"encoder.stage{i + 1}.down", c_prev, c, 3, h, w)
-        for b in range(cfg.blocks_per_stage):
-            _conv_bn(report, f"encoder.stage{i + 1}.block{b}", c, c, 3, h, w)
+        _conv_bn(report, f"encoder.stages.{i}.0", c_prev, c, 3, h, w)
+        for b in range(1, cfg.blocks_per_stage + 1):
+            _conv_bn(report, f"encoder.stages.{i}.{b}", c, c, 3, h, w)
         c_prev = c
 
 
@@ -130,32 +126,31 @@ def _decoder_costs(report, channels, cfg: DecoderConfig, H, W):
         total = sum(channels)
         embed = cfg.ase_embed_dim or total
         for l in range(cfg.num_blocks):
-            _sca_stage(report, f"decoder.ase.block{l + 1}", total, total,
+            _sca_stage(report, f"decoder.ase.blocks.{l}", total, total,
                        embed, cfg.heads[0], gh, gw, cfg.attention_bias)
     else:
         for l in range(cfg.num_blocks):
             for t in range(3):
                 kv_dim, q_dim = channels[t], channels[t + 1]
                 embed = cfg.ase_embed_dim or q_dim
-                _sca_stage(report,
-                           f"decoder.ase.block{l + 1}.level{t + 2}",
-                           kv_dim, q_dim, embed, cfg.heads[t], gh, gw,
+                _sca_stage(report, f"decoder.ase.blocks.{l}.{t}", kv_dim,
+                           q_dim, embed, cfg.heads[t], gh, gw,
                            cfg.attention_bias)
 
-    for j in (2, 3, 4):
-        c = channels[j - 1]
-        fh, fw = H // 2 ** (j + 1), W // 2 ** (j + 1)
-        report.add(f"decoder.scm{j}.upsample", 0, 0)
-        _conv_bn(report, f"decoder.scm{j}.proj_f", c, c, 1, fh, fw)
-        _conv_bn(report, f"decoder.scm{j}.proj_s", c, c, 1, fh, fw)
-        report.add(f"decoder.scm{j}.combine", 0, 0)
+    for j in range(3):
+        c = channels[j + 1]
+        fh, fw = H // 2 ** (j + 3), W // 2 ** (j + 3)
+        report.add(f"decoder.scm.{j}.upsample", 0, 0)
+        _conv_bn(report, f"decoder.scm.{j}.proj_f", c, c, 1, fh, fw)
+        _conv_bn(report, f"decoder.scm.{j}.proj_s", c, c, 1, fh, fw)
+        report.add(f"decoder.scm.{j}.combine", 0, 0)
 
     ch = cfg.head_channels
     h4, w4 = H // 4, W // 4
-    for idx, c in enumerate(channels):
-        fh, fw = H // 2 ** (idx + 2), W // 2 ** (idx + 2)
-        _conv_bn(report, f"decoder.head.proj{idx + 1}", c, ch, 1, fh, fw)
-        report.add(f"decoder.head.proj{idx + 1}.upsample", 0, 0)
+    for i, c in enumerate(channels):
+        fh, fw = H // 2 ** (i + 2), W // 2 ** (i + 2)
+        _conv_bn(report, f"decoder.head.projs.{i}", c, ch, 1, fh, fw)
+        report.add(f"decoder.head.projs.{i}.upsample", 0, 0)
     _conv_bn(report, "decoder.head.fuse", 4 * ch, ch, 1, h4, w4)
     _conv(report, "decoder.head.classifier", ch, cfg.num_classes, 1, h4, w4)
     report.add("decoder.head.upsample", 0, 0)
@@ -175,14 +170,6 @@ def cost_report(cfg: FullConfig, H: int | None = None, W: int | None = None,
         _encoder_costs(report, cfg.encoder, H, W)
     _decoder_costs(report, cfg.encoder.channels, cfg.decoder, H, W)
     return report
-
-
-def count_params(cfg: FullConfig) -> CostReport:
-    return cost_report(cfg)
-
-
-def count_macs(cfg: FullConfig, H: int, W: int) -> CostReport:
-    return cost_report(cfg, H, W)
 
 
 @dataclass
@@ -205,7 +192,7 @@ class AblationTable:
         return out.getvalue()
 
 
-def _variants_for_axis(axis: str, base: FullConfig):
+def variants_for_axis(axis: str, base: FullConfig):
     from dataclasses import replace
     dec = base.decoder
     if axis == "blocks":
@@ -219,8 +206,8 @@ def _variants_for_axis(axis: str, base: FullConfig):
             (name, replace(dec, scm_variant=name))
             for name in ("eq6", "eq7", "eq8"))
     if axis == "variant":
-        rows = _variants_for_axis("attention", base)
-        rows += [(f"scm-{n}", d) for n, d in _variants_for_axis("scm", base)]
+        rows = variants_for_axis("attention", base)
+        rows += [(f"scm-{n}", d) for n, d in variants_for_axis("scm", base)]
         return rows
     raise ConfigError(f"unknown ablation axis {axis!r}")
 
@@ -228,7 +215,7 @@ def _variants_for_axis(axis: str, base: FullConfig):
 def ablation_table(base: FullConfig, axis: str, H: int, W: int) -> AblationTable:
     """Rows of (setting, params, macs) along one configuration axis."""
     rows = []
-    for setting, dec_cfg in _variants_for_axis(axis, base):
+    for setting, dec_cfg in variants_for_axis(axis, base):
         cfg = FullConfig(encoder=base.encoder, decoder=dec_cfg, train=base.train)
         report = cost_report(cfg, H, W)
         rows.append((setting, report.params, report.macs))

@@ -17,7 +17,7 @@ from .config import DecoderConfig, EncoderConfig
 from .encoder import Encoder, FeaturePyramid
 from .errors import ConfigError, ShapeError
 from .layers import (ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention,
-                     map_from_tokens, resize, tokens_from_map)
+                     map_from_tokens, tokens_from_map)
 from .module import Module
 from .rng import RandomSource
 from .tensor import Tensor, bilinear_resize, concat
@@ -33,12 +33,12 @@ class ResizedFeatures:
         return [tokens_from_map(m) for m in self.maps]
 
 
-def resize_pyramid(p: FeaturePyramid, method: str = "bilinear") -> ResizedFeatures:
+def resize_pyramid(p: FeaturePyramid) -> ResizedFeatures:
     H, W = p.source_size
     if H % 64 or W % 64:
         raise ConfigError(f"source size {H}x{W} must be divisible by 64")
     grid = (H // 64, W // 64)
-    maps = tuple(resize(f, grid, method) for f in p.features)
+    maps = tuple(bilinear_resize(f, grid) for f in p.features)
     return ResizedFeatures(maps, grid, (H, W))
 
 
@@ -65,8 +65,7 @@ class ScaStage(Module):
             raise ShapeError(
                 f"token counts disagree: kv {kv.shape} vs q {q.shape}")
         a = self.attn(self.ln_kv(kv), self.ln_q(q)) + q
-        s = self.ffn(self.ln_ffn(a), spatial) + a
-        return a, s
+        return self.ffn(self.ln_ffn(a), spatial) + a
 
 
 class AggregatedSemanticsExtractor(Module):
@@ -102,8 +101,7 @@ class AggregatedSemanticsExtractor(Module):
                     kv = r_tokens[0] if t == 0 else current[t - 1]
                 else:
                     kv = r_tokens[t]
-                _, s = stage(kv, q, r.grid)
-                current.append(s)
+                current.append(stage(kv, q, r.grid))
             prev = current
         return tuple(prev)
 
@@ -125,7 +123,7 @@ class SelfOnConcatExtractor(Module):
     def __call__(self, r: ResizedFeatures):
         x = concat(r.tokens(), axis=-1)
         for block in self.blocks:
-            _, x = block(x, x, r.grid)
+            x = block(x, x, r.grid)
         # split channels back; the lowest-level slice is dropped
         out = []
         offset = 0
@@ -210,7 +208,7 @@ class Decoder(Module):
                                      cfg.num_classes, rng.spawn(9))
 
     def __call__(self, p: FeaturePyramid) -> Tensor:
-        r = resize_pyramid(p, self.cfg.downsample)
+        r = resize_pyramid(p)
         semantics = self.ase(r)
         enhanced = [combiner(p[j + 1], semantics[j], r.grid)
                     for j, combiner in enumerate(self.scm)]

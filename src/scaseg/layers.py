@@ -1,4 +1,4 @@
-"""Differentiable layers: attention, norms, convolutions, FFN, resizing.
+"""Differentiable layers: attention, norms, convolutions, FFN.
 
 Conventions: image tensors are (B, C, H, W); token tensors are (B, N, C)
 with tokens flattened row-major from the spatial grid. LayerNorm epsilon is
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ShapeError
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, bilinear_resize, concat, conv2d, matmul, softmax
+from .tensor import Tensor, concat, conv2d, matmul, softmax
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
@@ -233,18 +233,6 @@ class MixFFN(Module):
         return out.reshape(n, c) if squeeze else out
 
 
-def resize(x: Tensor, target, method: str = "bilinear") -> Tensor:
-    """Resize dispatcher; the average-pool path exists for downsample ablation."""
-    if method == "bilinear":
-        return bilinear_resize(x, target)
-    if method == "avgpool":
-        from .tensor import avg_pool_resize
-        if target[0] <= x.shape[2] and target[1] <= x.shape[3]:
-            return avg_pool_resize(x, target)
-        return bilinear_resize(x, target)
-    raise ConfigError(f"unknown resize method {method!r}")
-
-
 def tokens_from_map(x: Tensor) -> Tensor:
     """(B, C, H, W) -> (B, H*W, C), row-major tokens."""
     B, C, H, W = x.shape
@@ -262,6 +250,6 @@ def map_from_tokens(x: Tensor, spatial) -> Tensor:
 
 __all__ = [
     "Linear", "LayerNorm", "BatchNorm2d", "Conv2d", "ConvBN",
-    "MultiHeadAttention", "MixFFN", "resize", "tokens_from_map",
+    "MultiHeadAttention", "MixFFN", "tokens_from_map",
     "map_from_tokens", "concat", "LN_EPS", "BN_EPS", "BN_MOMENTUM",
 ]

@@ -42,22 +42,28 @@ def write_tensor(fh, t: Tensor) -> None:
     fh.write(np.ascontiguousarray(data, dtype=_TAG_DTYPES[tag]).tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise DataError(
+            f"truncated {what}: expected {n} bytes, got {len(raw)}")
+    return raw
+
+
 def read_tensor(fh) -> Tensor:
-    magic = fh.read(4)
+    magic = _read_exact(fh, 4, "tensor magic")
     if magic != MAGIC:
         raise DataError(f"bad tensor file magic {magic!r}")
-    version, rank = struct.unpack("<II", fh.read(8))
+    version, rank = struct.unpack("<II", _read_exact(fh, 8, "tensor header"))
     if version != VERSION:
         raise DataError(f"unsupported tensor format version {version}")
-    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-    (tag,) = struct.unpack("<B", fh.read(1))
+    dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "tensor dims"))
+    (tag,) = struct.unpack("<B", _read_exact(fh, 1, "tensor dtype tag"))
     if tag not in _TAG_DTYPES:
         raise DataError(f"unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
     count = int(np.prod(dims)) if rank else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise DataError("truncated tensor payload")
+    raw = _read_exact(fh, count * dtype.itemsize, "tensor payload")
     arr = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
     return Tensor(arr)
 
@@ -87,12 +93,13 @@ def save_checkpoint(path, named_tensors) -> None:
 
 def load_checkpoint(path) -> list[tuple[str, Tensor]]:
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if len(head) != 4:
-            raise DataError("truncated checkpoint header")
-        (count,) = struct.unpack("<I", head)
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint header"))
         names = []
         for _ in range(count):
-            (n,) = struct.unpack("<I", fh.read(4))
-            names.append(fh.read(n).decode("utf-8"))
+            (n,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+            raw = _read_exact(fh, n, "checkpoint name")
+            try:
+                names.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise DataError(f"checkpoint name {raw!r} is not valid UTF-8")
         return [(name, read_tensor(fh)) for name in names]

@@ -372,13 +372,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
-def variance(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Biased variance, recorded through mean/multiply primitives."""
-    mu = x.mean(axis=axis, keepdims=True)
-    d = x - mu
-    return (d * d).mean(axis=axis, keepdims=keepdims)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d cross-correlation on (B, C, H, W) input.
@@ -487,13 +480,3 @@ def _resize_taps(src: int, dst: int):
     lo = np.floor(coord).astype(np.int64)
     hi = np.minimum(lo + 1, src - 1)
     return lo, hi, coord - lo
-
-
-def avg_pool_resize(x: Tensor, target) -> Tensor:
-    """Average-pool downsample to an exact divisor size (ablation path)."""
-    B, C, H, W = x.shape
-    Ht, Wt = int(target[0]), int(target[1])
-    if H % Ht or W % Wt:
-        raise ShapeError(f"avg pool target {target} must divide {(H, W)}")
-    fh, fw = H // Ht, W // Wt
-    return x.reshape(B, C, Ht, fh, Wt, fw).mean(axis=(3, 5))

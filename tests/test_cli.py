@@ -38,8 +38,8 @@ class TestDescribe:
         cfg.write_text("# comment line\nnum_blocks = 2\nhead_channels = 16\n")
         assert main(["describe", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "decoder.ase.block2" in out
-        assert "decoder.ase.block3" not in out
+        assert "decoder.ase.blocks.1." in out
+        assert "decoder.ase.blocks.2." not in out
 
 
 class TestForward:

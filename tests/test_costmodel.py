@@ -53,10 +53,10 @@ class TestSingleLayerFormulas:
         assert report.macs == 8 * 9 * 4
 
     def test_norms_have_params_but_no_macs(self):
-        from scaseg.costmodel import _bn, _ln
+        from scaseg.costmodel import _norm
         report = CostReport(4, 4)
-        _bn(report, "bn", 16)
-        _ln(report, "ln", 16)
+        _norm(report, "bn", 16)
+        _norm(report, "ln", 16)
         assert report.params == 64
         assert report.macs == 0
 
@@ -91,6 +91,20 @@ class TestParamOracle:
     def test_matches_live_model_exactly(self, idx):
         cfg = CONFIGS[idx]
         assert cost_report(cfg).params == model_param_count(cfg)
+
+    @pytest.mark.parametrize("idx", range(len(CONFIGS)))
+    def test_entries_are_module_paths(self, idx):
+        # every parameter-owning cost line names the module that owns the
+        # parameters, with exactly their element count
+        cfg = CONFIGS[idx]
+        model = SegModel(cfg.encoder, cfg.decoder, seed=0)
+        owners = {}
+        for name, p in model.named_parameters():
+            owner = name.rsplit(".", 1)[0]
+            owners[owner] = owners.get(owner, 0) + p.data.size
+        report = cost_report(cfg)
+        assert owners == {path: params for path, params, _ in report.entries
+                          if params > 0}
 
     def test_matches_serialized_enumeration(self, tmp_path):
         for cfg in CONFIGS[:3]:
@@ -197,7 +211,7 @@ class TestAffineInDepth:
     def test_delta_equals_one_block_of_stages(self):
         r1 = cost_report(desk(num_blocks=1), include_encoder=False)
         r2 = cost_report(desk(num_blocks=2), include_encoder=False)
-        block2 = r2.subtotal("decoder.ase.block2")
+        block2 = r2.subtotal("decoder.ase.blocks.1.")
         assert r2.params - r1.params == block2[0]
         assert r2.macs - r1.macs == block2[1]
 

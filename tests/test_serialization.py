@@ -83,10 +83,21 @@ class TestCheckpointFormat:
         assert load_checkpoint(path) == []
 
     def test_truncated_header(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"\x01")
-        with pytest.raises(DataError):
-            load_checkpoint(path)
+        # a cut at any byte, in the name table, a tensor header or a
+        # payload, and a name that is not UTF-8, are each a DataError,
+        # never a struct or decode error
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [("w", Tensor(np.ones((2, 3)))),
+                               ("b", Tensor(np.zeros(2, dtype=np.float32)))])
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                load_checkpoint(bad)
+        bad.write_bytes(struct.pack("<II", 1, 1) + b"\xff")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_checkpoint(bad)
 
 
 class TestConfigParsing:
