@@ -40,10 +40,9 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, eps: float = LN_EPS):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
@@ -54,19 +53,16 @@ class LayerNorm(Module):
         mu = x.mean(axis=-1, keepdims=True)
         d = x - mu
         var = (d * d).mean(axis=-1, keepdims=True)
-        xhat = d * ((var + self.eps) ** -0.5)
+        xhat = d * ((var + LN_EPS) ** -0.5)
         return xhat * self.gamma + self.beta
 
 
 class BatchNorm2d(Module):
     """Single-device batch norm over (B, H, W) per channel."""
 
-    def __init__(self, channels: int, eps: float = BN_EPS,
-                 momentum: float = BN_MOMENTUM):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = Tensor(np.zeros(channels))
@@ -86,9 +82,9 @@ class BatchNorm2d(Module):
             mu = x.mean(axis=(0, 2, 3), keepdims=True)
             d = x - mu
             var = (d * d).mean(axis=(0, 2, 3), keepdims=True)
-            xhat = d * ((var + self.eps) ** -0.5)
+            xhat = d * ((var + BN_EPS) ** -0.5)
             # running stats track the unbiased batch variance, outside the graph
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean.data[...] = (
                 (1 - m) * self.running_mean.data + m * mu.data.reshape(C))
             self.running_var.data[...] = (
@@ -96,7 +92,7 @@ class BatchNorm2d(Module):
                 + m * var.data.reshape(C) * n / (n - 1))
         else:
             mu = self.running_mean.data.reshape(1, C, 1, 1)
-            inv = 1.0 / np.sqrt(self.running_var.data + self.eps)
+            inv = 1.0 / np.sqrt(self.running_var.data + BN_EPS)
             xhat = (x - mu) * inv.reshape(1, C, 1, 1)
         g = self.gamma.reshape(1, C, 1, 1)
         b = self.beta.reshape(1, C, 1, 1)
@@ -206,11 +202,9 @@ class MixFFN(Module):
 
     EXPANSION = 4
 
-    def __init__(self, channels: int, rng: RandomSource, expansion: int = EXPANSION):
+    def __init__(self, channels: int, rng: RandomSource):
         super().__init__()
-        if expansion != self.EXPANSION:
-            raise ConfigError(f"FFN expansion ratio is fixed at {self.EXPANSION}")
-        hidden = expansion * channels
+        hidden = self.EXPANSION * channels
         self.channels = channels
         self.hidden = hidden
         self.fc1 = Conv2d(channels, hidden, 1, rng.spawn(1))

@@ -15,12 +15,9 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def named_parameters(self, prefix: str = ""):
+    def named_parameters(self):
         for key, value in vars(self).items():
-            if key == "training":
-                continue
-            name = f"{prefix}{key}" if prefix else key
-            yield from _walk(name, value)
+            yield from _walk(value, key, trainable=True)
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
@@ -49,22 +46,30 @@ class Module:
         out.extend(self.named_buffers())
         return out
 
-    def named_buffers(self, prefix: str = ""):
+    def named_buffers(self):
         for key, value in vars(self).items():
-            name = f"{prefix}{key}" if prefix else key
-            yield from _walk_buffers(name, value)
+            yield from _walk(value, key, trainable=False)
 
     def load_state(self, named_tensors):
+        """Copy a checkpoint into the model. Every model entry must be in it,
+        and the model is left untouched when the checkpoint is rejected."""
         current = dict(self.state())
-        for name, tensor in named_tensors:
+        pairs = list(named_tensors)
+        for name, tensor in pairs:
             if name not in current:
                 raise DataError(f"checkpoint entry {name!r} not in model")
-            dst = current[name]
-            if dst.shape != tensor.shape:
+            if current[name].shape != tensor.shape:
                 raise DataError(
                     f"checkpoint entry {name!r} has shape {tensor.shape}, "
-                    f"model expects {dst.shape}")
-            dst.data[...] = tensor.data
+                    f"model expects {current[name].shape}")
+        names = {name for name, _ in pairs}
+        missing = [name for name in current if name not in names]
+        if missing:
+            raise DataError(
+                f"checkpoint lacks {len(missing)} of the model's "
+                f"{len(current)} entries, e.g. {', '.join(missing[:3])}")
+        for name, tensor in pairs:
+            current[name].data[...] = tensor.data
 
 
 def _submodules(value):
@@ -75,23 +80,15 @@ def _submodules(value):
             yield from _submodules(v)
 
 
-def _walk(name, value):
+def _walk(value, name, trainable):
+    """(name, Tensor) pairs under one attribute, Tensors filtered by
+    ``requires_grad == trainable``."""
     if isinstance(value, Tensor):
-        if value.requires_grad:
+        if value.requires_grad == trainable:
             yield name, value
     elif isinstance(value, Module):
-        yield from value.named_parameters(prefix=name + ".")
+        for key, v in vars(value).items():
+            yield from _walk(v, f"{name}.{key}", trainable)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            yield from _walk(f"{name}.{i}", v)
-
-
-def _walk_buffers(name, value):
-    if isinstance(value, Tensor):
-        if not value.requires_grad:
-            yield name, value
-    elif isinstance(value, Module):
-        yield from value.named_buffers(prefix=name + ".")
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            yield from _walk_buffers(f"{name}.{i}", v)
+            yield from _walk(v, f"{name}.{i}", trainable)

@@ -19,6 +19,9 @@ in the same order:
 
 from __future__ import annotations
 
+import io
+import math
+import os
 import struct
 
 import numpy as np
@@ -43,11 +46,14 @@ def write_tensor(fh, t: Tensor) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise DataError(
-            f"truncated {what}: expected {n} bytes, got {len(raw)}")
-    return raw
+    """Read n bytes, checking n against the bytes left before reading, so a
+    size taken from a corrupt header never sizes a read."""
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if n > left:
+        raise DataError(f"truncated {what}: expected {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def read_tensor(fh) -> Tensor:
@@ -62,10 +68,12 @@ def read_tensor(fh) -> Tensor:
     if tag not in _TAG_DTYPES:
         raise DataError(f"unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
-    count = int(np.prod(dims)) if rank else 1
-    raw = _read_exact(fh, count * dtype.itemsize, "tensor payload")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
-    return Tensor(arr)
+    raw = _read_exact(fh, math.prod(dims) * dtype.itemsize, "tensor payload")
+    try:
+        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+    except ValueError as exc:  # a zero dim next to dims numpy cannot hold
+        raise DataError(f"implausible tensor dims {dims}: {exc}") from None
+    return Tensor(arr.copy())
 
 
 def save_tensor(path, t: Tensor) -> None:
@@ -79,16 +87,26 @@ def load_tensor(path) -> Tensor:
 
 
 def save_checkpoint(path, named_tensors) -> None:
-    """Write an ordered list of (name, Tensor) pairs."""
+    """Write an ordered list of (name, Tensor) pairs.
+
+    The bytes go to ``<path>.tmp``, which then replaces ``path``, so a
+    failed write leaves any earlier checkpoint at ``path`` intact.
+    """
     items = list(named_tensors)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(items)))
-        for name, _ in items:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        for _, t in items:
-            write_tensor(fh, t)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<I", len(items)))
+            for name, _ in items:
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+            for _, t in items:
+                write_tensor(fh, t)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> list[tuple[str, Tensor]]:

@@ -439,44 +439,29 @@ def bilinear_resize(x: Tensor, target) -> Tensor:
     Ht, Wt = int(target[0]), int(target[1])
     if Ht < 1 or Wt < 1:
         raise ShapeError(f"invalid target size {target}")
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     if (Ht, Wt) == (H, W):
-        a = x
-        return Tensor._from_op(x.data.copy(), (a,), lambda g: (g,))
+        return Tensor._from_op(x.data.copy(), (x,), lambda g: (g,))
 
-    y0, y1, wy = _resize_taps(H, Ht)
-    x0, x1, wx = _resize_taps(W, Wt)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    w00 = (1 - wy) * (1 - wx)
-    w01 = (1 - wy) * wx
-    w10 = wy * (1 - wx)
-    w11 = wy * wx
-
-    d = x.data
-    out = (d[:, :, y0[:, None], x0[None, :]] * w00
-           + d[:, :, y0[:, None], x1[None, :]] * w01
-           + d[:, :, y1[:, None], x0[None, :]] * w10
-           + d[:, :, y1[:, None], x1[None, :]] * w11)
-
-    def backward(g):
-        gx = np.zeros_like(d)
-        yy0 = np.broadcast_to(y0[:, None], (Ht, Wt))
-        yy1 = np.broadcast_to(y1[:, None], (Ht, Wt))
-        xx0 = np.broadcast_to(x0[None, :], (Ht, Wt))
-        xx1 = np.broadcast_to(x1[None, :], (Ht, Wt))
-        for (yy, xx, ww) in ((yy0, xx0, w00), (yy0, xx1, w01),
-                             (yy1, xx0, w10), (yy1, xx1, w11)):
-            np.add.at(gx, (slice(None), slice(None), yy, xx), g * ww)
-        return (gx,)
-
-    return Tensor._from_op(out, (x,), backward)
+    ry = _resize_matrix(H, Ht)
+    rx = _resize_matrix(W, Wt)
+    out = ry @ x.data @ rx.T
+    return Tensor._from_op(out, (x,), lambda g: (ry.T @ g @ rx,))
 
 
-def _resize_taps(src: int, dst: int):
-    """Integer taps and fractional weights for one resize axis."""
+def _resize_matrix(src: int, dst: int) -> np.ndarray:
+    """(dst, src) interpolation matrix for one resize axis.
+
+    Row d puts 1 - frac on tap lo and frac on tap hi; at a clamped border
+    lo == hi and the two weights sum to 1 in the same cell.
+    """
     coord = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     coord = np.clip(coord, 0.0, src - 1.0)
     lo = np.floor(coord).astype(np.int64)
     hi = np.minimum(lo + 1, src - 1)
-    return lo, hi, coord - lo
+    frac = coord - lo
+    rows = np.arange(dst)
+    m = np.zeros((dst, src))
+    m[rows, lo] = 1.0 - frac
+    m[rows, hi] += frac
+    return m

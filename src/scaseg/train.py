@@ -35,24 +35,25 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * (1.0 - iteration / cfg.iterations) ** cfg.poly_power
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, named_params, weight_decay: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, weight_decay: float = 0.01):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self, lr: float):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for i, (name, p) in enumerate(self.named_params):
             g = p.grad
             if g is None:
@@ -61,9 +62,9 @@ class AdamW:
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
             if self.weight_decay:
                 p.data -= lr * self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            p.data -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            p.data -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)
 
 
 def miou(pred: np.ndarray, true: np.ndarray, K: int):

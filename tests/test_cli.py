@@ -78,6 +78,17 @@ class TestForward:
         b = load_tensor(out_b / "logits.tsr").data
         assert not np.array_equal(a, b)
 
+    def test_partial_checkpoint_exits_3(self, tmp_path, capsys):
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        ckpt = tmp_path / "partial.ckpt"
+        save_checkpoint(ckpt, model.state()[:1])
+        assert main(["forward", str(inp), "--out", str(tmp_path),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert "lacks" in capsys.readouterr().err
+
 
 class TestTrain:
     def _run(self, tmp_path, name, seed):

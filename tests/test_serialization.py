@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scaseg import (ConfigError, DataError, Tensor, load_checkpoint,
-                    load_tensor, save_checkpoint, save_tensor)
+                    load_tensor, save_checkpoint, save_tensor, serialization)
 from scaseg.config import build_config, load_config, parse_config_text
 from scaseg.serialization import read_tensor, write_tensor
 
@@ -64,6 +64,25 @@ class TestTensorFormat:
         with pytest.raises(DataError, match="dtype"):
             read_tensor(io.BytesIO(bytes(raw)))
 
+    def test_overflowing_dims(self, tmp_path):
+        # 2**32 * 2**32 elements wrap to 0 in int64; with no payload this
+        # must still be a DataError, from load_tensor and from the CLI
+        from scaseg.cli import main
+        path = tmp_path / "huge.tsr"
+        path.write_bytes(b"SASF" + struct.pack("<II2QB", 1, 2, 2**32, 2**32, 1))
+        with pytest.raises(DataError, match="payload"):
+            load_tensor(path)
+        assert main(["forward", str(path), "--out", str(tmp_path)]) == 3
+        # no payload is also right for a zero dim, but numpy cannot hold 2**63
+        path.write_bytes(b"SASF" + struct.pack("<II2QB", 1, 2, 0, 2**63, 1))
+        with pytest.raises(DataError, match="dims"):
+            load_tensor(path)
+
+    def test_rank_larger_than_the_bytes_left(self):
+        raw = b"SASF" + struct.pack("<II", 1, 2**31) + bytes(16)
+        with pytest.raises(DataError, match="dims"):
+            read_tensor(io.BytesIO(raw))
+
 
 class TestCheckpointFormat:
     def test_round_trip_preserves_names_order_values(self, tmp_path):
@@ -98,6 +117,44 @@ class TestCheckpointFormat:
         bad.write_bytes(struct.pack("<II", 1, 1) + b"\xff")
         with pytest.raises(DataError, match="UTF-8"):
             load_checkpoint(bad)
+
+
+    def test_every_flipped_byte_loads_or_raises_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [("w", Tensor(np.ones((2, 3)))),
+                               ("b", Tensor(np.zeros(2, dtype=np.float32)))])
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(bad)
+            except DataError:
+                pass
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "m.ckpt"
+        items = [("w", Tensor(np.ones((2, 3)))), ("b", Tensor(np.zeros(2)))]
+        save_checkpoint(path, items)
+        before = path.read_bytes()
+        calls = []
+        real_write = serialization.write_tensor
+
+        def failing_write(fh, t):
+            calls.append(t)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write(fh, t)
+
+        monkeypatch.setattr(serialization, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, [(n, t * 2.0) for n, t in items])
+        assert path.read_bytes() == before
+        assert [n for n, _ in load_checkpoint(path)] == ["w", "b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 class TestConfigParsing:

@@ -246,6 +246,19 @@ class TestTrainLoop:
         fresh.eval()
         assert np.allclose(fresh(x).data, expected, atol=1e-12)
 
+    def test_partial_checkpoint_is_rejected(self, tmp_path):
+        from scaseg import load_checkpoint, save_checkpoint
+        model, _, _, _ = tiny_setup()
+        ckpt = tmp_path / "partial.ckpt"
+        save_checkpoint(ckpt, model.state()[:1])
+        fresh, _, _, _ = tiny_setup(seed=99)
+        before = [t.data.copy() for _, t in fresh.state()]
+        with pytest.raises(DataError, match="lacks"):
+            fresh.load_state(load_checkpoint(ckpt))
+        # a rejected checkpoint leaves the model as it was
+        for b, (_, t) in zip(before, fresh.state()):
+            assert np.array_equal(b, t.data)
+
     def test_evaluate_restores_training_mode(self):
         model, tr, va, cfg = tiny_setup()
         model.train()
