@@ -2,7 +2,8 @@
 
 Conventions: image tensors are (B, C, H, W); token tensors are (B, N, C)
 with tokens flattened row-major from the spatial grid. LayerNorm epsilon is
-1e-6, BatchNorm epsilon 1e-5 with momentum 0.1.
+1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. Both norms are one graph
+node each, built by the shared ``tensor.normalize`` helper.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ShapeError
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, concat, conv2d, matmul, softmax
+from .tensor import Tensor, concat, conv2d, matmul, normalize, softmax
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
@@ -50,11 +51,7 @@ class LayerNorm(Module):
         if x.shape[-1] != self.channels:
             raise ShapeError(
                 f"LayerNorm over {self.channels} channels got {x.shape}")
-        mu = x.mean(axis=-1, keepdims=True)
-        d = x - mu
-        var = (d * d).mean(axis=-1, keepdims=True)
-        xhat = d * ((var + LN_EPS) ** -0.5)
-        return xhat * self.gamma + self.beta
+        return normalize(x, self.gamma, self.beta, (-1,), -1, LN_EPS)[0]
 
 
 class BatchNorm2d(Module):
@@ -73,30 +70,24 @@ class BatchNorm2d(Module):
             raise ShapeError(
                 f"BatchNorm2d({self.channels}) got input shape {x.shape}")
         B, C, H, W = x.shape
-        if self.training:
-            n = B * H * W
-            if n <= 1:
-                raise NumericalError(
-                    "batch norm in training mode needs more than one value "
-                    f"per channel (got batch {B}, spatial {H}x{W})")
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            d = x - mu
-            var = (d * d).mean(axis=(0, 2, 3), keepdims=True)
-            xhat = d * ((var + BN_EPS) ** -0.5)
-            # running stats track the unbiased batch variance, outside the graph
-            m = BN_MOMENTUM
-            self.running_mean.data[...] = (
-                (1 - m) * self.running_mean.data + m * mu.data.reshape(C))
-            self.running_var.data[...] = (
-                (1 - m) * self.running_var.data
-                + m * var.data.reshape(C) * n / (n - 1))
-        else:
-            mu = self.running_mean.data.reshape(1, C, 1, 1)
-            inv = 1.0 / np.sqrt(self.running_var.data + BN_EPS)
-            xhat = (x - mu) * inv.reshape(1, C, 1, 1)
-        g = self.gamma.reshape(1, C, 1, 1)
-        b = self.beta.reshape(1, C, 1, 1)
-        return xhat * g + b
+        if not self.training:
+            stats = (self.running_mean.data.reshape(1, C, 1, 1),
+                     self.running_var.data.reshape(1, C, 1, 1))
+            return normalize(x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS,
+                             stats)[0]
+        n = B * H * W
+        if n <= 1:
+            raise NumericalError(
+                "batch norm in training mode needs more than one value "
+                f"per channel (got batch {B}, spatial {H}x{W})")
+        out, mu, var = normalize(x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS)
+        # running stats track the unbiased batch variance, outside the graph
+        m = BN_MOMENTUM
+        self.running_mean.data[...] = (
+            (1 - m) * self.running_mean.data + m * mu.reshape(C))
+        self.running_var.data[...] = (
+            (1 - m) * self.running_var.data + m * var.reshape(C) * n / (n - 1))
+        return out
 
 
 class Conv2d(Module):

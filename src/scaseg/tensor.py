@@ -372,13 +372,54 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
+              channel_axis: int, eps: float, stats=None):
+    """``gamma * (x - mean) * (var + eps) ** -0.5 + beta`` as one node.
+
+    Without ``stats`` the mean and (biased) variance are taken over ``axes``
+    of ``x`` and differentiated through; ``stats=(mean, var)`` supplies them
+    as constants broadcastable to ``x`` (batch-norm eval mode). ``gamma``
+    and ``beta`` are per-channel along ``channel_axis``. Returns
+    ``(out, mean, var)``, the statistics as keepdims numpy arrays.
+    """
+    pshape = [1] * x.ndim
+    pshape[channel_axis] = gamma.size
+    g = gamma.data.reshape(pshape)
+    if stats is None:
+        n = int(np.prod([x.shape[a] for a in axes]))
+        mean = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
+        d = x.data + (-mean)
+        var = (d * d).sum(axis=axes, keepdims=True) * (1.0 / n)
+        inv = (var + eps) ** -0.5
+    else:
+        mean, var = stats
+        d = x.data + (-mean)
+        inv = 1.0 / np.sqrt(var + eps)
+    xhat = d * inv
+    out = xhat * g + beta.data.reshape(pshape)
+    param_axes = tuple(i for i in range(x.ndim) if pshape[i] == 1)
+
+    def backward(gout):
+        gxhat = gout * g
+        if stats is None:
+            # d/dx of xhat, with mean and var functions of x
+            gxhat = (gxhat - gxhat.mean(axis=axes, keepdims=True)
+                     - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True))
+        return (gxhat * inv,
+                (gout * xhat).sum(axis=param_axes).reshape(gamma.shape),
+                gout.sum(axis=param_axes).reshape(beta.shape))
+
+    return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d cross-correlation on (B, C, H, W) input.
 
     ``w`` is (C_out, C_in/groups, kh, kw). Implemented as im2col + batched
-    matmul; the backward pass scatters with a fixed loop order so results
-    are deterministic.
+    matmul. The backward pass computes the weight gradient as one GEMM per
+    image and group, ``g @ colsᵀ``, summed over the batch, and scatters the
+    input gradient with a fixed loop order so results are deterministic.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
@@ -413,7 +454,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def backward(g):
         g4 = g.reshape(B, groups, C_out_g, Ho * Wo)
-        gw = np.einsum("bgok,bgik->goi", g4, cols_g).reshape(w.shape)
+        gw = np.matmul(g4, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
+        gw = gw.reshape(w.shape)
         gcols = np.matmul(np.swapaxes(w_g, -1, -2)[None], g4)
         gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
         gxp = np.zeros_like(xp)

@@ -41,30 +41,59 @@ ADAM_EPS = 1e-8
 
 
 class AdamW:
-    """Adam with decoupled weight decay (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with decoupled weight decay (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    At construction every parameter is copied into one flat float64 buffer
+    and its ``data`` becomes a C-contiguous view of it, so a step is one
+    vectorized update over all parameters. Write parameters in place
+    (``p.data[...] = ...``, as ``Module.load_state`` does); rebinding
+    ``p.data`` detaches it from the optimizer.
+    """
 
     def __init__(self, named_params, weight_decay: float = 0.01):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
+        sizes = [p.size for _, p in self.named_params]
+        self.slices = [slice(end - n, end)
+                       for end, n in zip(np.cumsum(sizes, dtype=int), sizes)]
+        total = sum(sizes)
+        self.flat = np.empty(total)
+        for (_, p), sl in zip(self.named_params, self.slices):
+            self.flat[sl] = p.data.reshape(-1)
+            p.data = self.flat[sl].reshape(p.shape)
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self.grad = np.empty(total)
+        self.scratch = np.empty(total)
 
     def step(self, lr: float):
+        """One update. A non-finite gradient raises ``NumericalError``
+        naming the first such parameter and leaves every parameter as it
+        was."""
+        g, s = self.grad, self.scratch
+        for (_, p), sl in zip(self.named_params, self.slices):
+            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            name = next(n for (n, _), sl in zip(self.named_params, self.slices)
+                        if not np.isfinite(g[sl]).all())
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, (name, p) in enumerate(self.named_params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient for parameter {name!r}")
-            if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
-            p.data -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)
+        # in place, in a per-tensor update's element order (bit-identical):
+        # p -= (lr*wd)*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        p, m, v = self.flat, self.m, self.v
+        if self.weight_decay:
+            p -= np.multiply(p, lr * self.weight_decay, out=s)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=s), g, out=s)
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        g += ADAM_EPS
+        p -= np.divide(np.multiply(np.divide(m, bc1, out=s), lr, out=s), g, out=s)
 
 
 def miou(pred: np.ndarray, true: np.ndarray, K: int):

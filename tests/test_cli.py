@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scaseg
 from scaseg import Tensor, load_tensor, save_tensor
 from scaseg.cli import main, write_ppm
 
@@ -113,6 +119,24 @@ class TestTrain:
     def test_reports_final_miou(self, tmp_path, capsys):
         self._run(tmp_path, "a", seed=0)
         assert "final val mIoU" in capsys.readouterr().out
+
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # the thread count is set in each child's environment only; the
+        # GEMMs (conv forward, weight and input gradients, resize, attention)
+        # must not split a reduction across threads
+        src = str(Path(scaseg.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "scaseg.cli", "train", "--out", str(out),
+                 "--seed", "0", "--set", "iterations=20"],
+                env=env, check=True, capture_output=True, timeout=600)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.csv", "checkpoint.ckpt")])
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheck:

@@ -307,9 +307,14 @@ class TestLayerGradients:
 
     def test_layer_norm(self):
         ln = LayerNorm(5)
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 5)))
-        err = gradient_check(lambda t: (ln(t) ** 2.0).sum(), x)
-        assert err < 1e-4
+        g = np.random.default_rng(0)
+        x = Tensor(g.normal(size=(2, 3, 5)))
+        ln.gamma.data[...] = g.normal(size=5)
+        ln.beta.data[...] = g.normal(size=5)
+        # every element of the input, gamma and beta
+        for t in (x, ln.gamma, ln.beta):
+            err = gradient_check(lambda _: (ln(x) ** 2.0).sum(), t)
+            assert err < 1e-4
 
     def test_attention_wrt_input_and_weights(self):
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)
@@ -331,16 +336,38 @@ class TestLayerGradients:
     def test_conv_bn_eval_mode(self):
         cb = ConvBN(3, 4, rng(2))
         cb.eval()
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 3, 3)))
-        err = gradient_check(lambda t: (cb(t) ** 2.0).sum(), x)
-        assert err < 1e-4
+        g = np.random.default_rng(3)
+        x = Tensor(g.normal(size=(2, 3, 3, 3)))
+        cb.bn.running_mean.data[...] = g.normal(size=4)
+        cb.bn.running_var.data[...] = g.random(size=4) + 0.5
+        cb.bn.gamma.data[...] = g.normal(size=4)
+        cb.bn.beta.data[...] = g.normal(size=4)
+        for t in (x, cb.bn.gamma, cb.bn.beta):
+            err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
+            assert err < 1e-4
 
     def test_conv_bn_training_mode_batch_stats_in_graph(self):
         cb = ConvBN(3, 4, rng(3))
         cb.train()
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 3, 3)))
-        err = gradient_check(lambda t: (cb(t) ** 2.0).sum(), x)
-        assert err < 1e-4
+        g = np.random.default_rng(4)
+        x = Tensor(g.normal(size=(2, 3, 3, 3)))
+        cb.bn.gamma.data[...] = g.normal(size=4)
+        cb.bn.beta.data[...] = g.normal(size=4)
+        for t in (x, cb.bn.gamma, cb.bn.beta):
+            err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
+            assert err < 1e-4
+
+    def test_norms_are_one_node(self):
+        ln = LayerNorm(3)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 3)),
+                   requires_grad=True)
+        assert ln(x)._parents == (x, ln.gamma, ln.beta)
+        bn = BatchNorm2d(4)
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 4, 3, 3)),
+                   requires_grad=True)
+        for mode in (bn.train, bn.eval):
+            mode()
+            assert bn(x)._parents == (x, bn.gamma, bn.beta)
 
     def test_bilinear_resize(self):
         x = Tensor(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))

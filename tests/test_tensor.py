@@ -3,6 +3,7 @@ import pytest
 
 from scaseg import (ShapeError, Tensor, UsageError, bilinear_resize, concat,
                     conv2d, gradient_check, log_softmax, matmul, softmax)
+from scaseg.tensor import normalize
 
 
 class TestMatmul:
@@ -156,6 +157,18 @@ def _op_cases(rng):
     other = Tensor(rng.normal(size=(3, 4)) + 3.0)
     conv_w = Tensor(rng.normal(size=(2, 3, 3, 3)))
     dw_w = Tensor(rng.normal(size=(3, 1, 3, 3)))
+    # batch-2 inputs for the weight gradients, which sum over the batch
+    conv_x = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    conv_x5 = Tensor(rng.normal(size=(2, 3, 5, 5)))
+    conv_x4 = Tensor(rng.normal(size=(2, 4, 4, 4)))
+    # normalization: per-channel affine, an output weighting (the plain sum
+    # of a batch-statistics output has zero gradient) and fixed statistics
+    gamma = Tensor(rng.normal(size=3))
+    beta = Tensor(rng.normal(size=3))
+    gamma4 = Tensor(rng.normal(size=4))
+    beta4 = Tensor(rng.normal(size=4))
+    norm_w = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    stats = (rng.normal(size=(1, 3, 1, 1)), rng.random(size=(1, 3, 1, 1)) + 0.5)
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -185,6 +198,27 @@ def _op_cases(rng):
          (1, 2, 3, 4), None),
         ("bilinear_down", lambda x: (bilinear_resize(x, (2, 2)) ** 2.0).sum(),
          (1, 2, 5, 6), None),
+        ("conv2d_weight", lambda w: (conv2d(conv_x, w, padding=1) ** 2.0).sum(),
+         (2, 3, 3, 3), None),
+        ("conv2d_strided_weight",
+         lambda w: (conv2d(conv_x5, w, stride=2, padding=1) ** 2.0).sum(),
+         (2, 3, 3, 3), None),
+        ("depthwise_weight",
+         lambda w: (conv2d(conv_x, w, padding=1, groups=3) ** 2.0).sum(),
+         (3, 1, 3, 3), None),
+        ("groups2_weight",
+         lambda w: (conv2d(conv_x4, w, padding=1, groups=2) ** 2.0).sum(),
+         (4, 2, 3, 3), None),
+        ("normalize_tokens",
+         lambda x: (normalize(x, gamma4, beta4, (-1,), -1, 1e-6)[0] * other).sum(),
+         (3, 4), None),
+        ("normalize_batch",
+         lambda x: (normalize(x, gamma, beta, (0, 2, 3), 1, 1e-5)[0] * norm_w).sum(),
+         (2, 3, 2, 2), None),
+        ("normalize_fixed_stats",
+         lambda x: (normalize(x, gamma, beta, (0, 2, 3), 1, 1e-5, stats)[0]
+                    * norm_w).sum(),
+         (2, 3, 2, 2), None),
     ]
 
 

@@ -167,6 +167,68 @@ class TestAdamW:
         with pytest.raises(NumericalError, match="p"):
             AdamW([("p", p)]).step(0.1)
 
+    @staticmethod
+    def _three_params():
+        g = np.random.default_rng(7)
+        return [(name, Tensor(g.normal(size=shape), requires_grad=True))
+                for name, shape in (("a", (3, 4)), ("b", (5,)),
+                                    ("c", (2, 1, 3, 3)))]
+
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        from scaseg.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        params = self._three_params()
+        ref = [p.data.copy() for _, p in params]
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+        opt = AdamW(params, weight_decay=0.05)
+        g = np.random.default_rng(8)
+        for t in (1, 2, 3):
+            lr = 0.01 / t
+            grads = [g.normal(size=r.shape) for r in ref]
+            grads[1] = None  # "b" got no gradient this step
+            for (_, p), grad in zip(params, grads):
+                p.grad = grad
+            opt.step(lr)
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
+            for i, grad in enumerate(grads):
+                grad = np.zeros_like(ref[i]) if grad is None else grad
+                ref[i] -= lr * 0.05 * ref[i]
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * grad
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * grad * grad
+                ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPS)
+            for r, (_, p) in zip(ref, params):
+                assert np.array_equal(p.data, r)
+
+    def test_non_finite_gradient_leaves_every_parameter_unchanged(self):
+        from scaseg import NumericalError
+        params = self._three_params()
+        opt = AdamW(params)
+        for _, p in params:
+            p.grad = np.ones(p.shape)
+        params[1][1].grad[2] = np.nan
+        before = [p.data.copy() for _, p in params]
+        with pytest.raises(NumericalError, match="'b'"):
+            opt.step(0.1)
+        for b, (_, p) in zip(before, params):
+            assert np.array_equal(p.data, b)
+
+    def test_step_after_load_state_starts_from_loaded_values(self):
+        model, _, _, _ = tiny_setup(seed=0)
+        opt = AdamW(model.named_parameters())
+        loaded, _, _, _ = tiny_setup(seed=99)
+        model.load_state(loaded.state())
+        ref_opt = AdamW(loaded.named_parameters())
+        for (_, p), (_, q) in zip(model.named_parameters(),
+                                  loaded.named_parameters()):
+            p.grad = np.full(p.shape, 0.5)
+            q.grad = np.full(q.shape, 0.5)
+        opt.step(0.1)
+        ref_opt.step(0.1)
+        for (_, p), (_, q) in zip(model.named_parameters(),
+                                  loaded.named_parameters()):
+            assert np.array_equal(p.data, q.data)
+
 
 class TestMiou:
     def test_perfect_prediction(self):
