@@ -81,8 +81,9 @@ def cmd_forward(args) -> int:
     image = load_tensor(args.input)
     if image.ndim == 3:
         image = image.reshape(1, *image.shape)
-    if image.ndim != 4 or image.shape[1] != 3:
-        raise DataError(f"expected a (3, H, W) image tensor, got {image.shape}")
+    if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
+        raise DataError(
+            f"expected a (3, H, W) image tensor with H, W > 0, got {image.shape}")
     model.eval()
     logits = model(image)
     out = _out_dir(args)

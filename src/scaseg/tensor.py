@@ -395,19 +395,23 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
         mean, var = stats
         d = x.data + (-mean)
         inv = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv
-    out = xhat * g + beta.data.reshape(pshape)
+    xhat = np.multiply(d, inv, out=d)
+    out = xhat * g
+    out += beta.data.reshape(pshape)
     param_axes = tuple(i for i in range(x.ndim) if pshape[i] == 1)
 
     def backward(gout):
         gxhat = gout * g
+        scratch = gout * xhat
+        ggamma = scratch.sum(axis=param_axes).reshape(gamma.shape)
         if stats is None:
             # d/dx of xhat, with mean and var functions of x
-            gxhat = (gxhat - gxhat.mean(axis=axes, keepdims=True)
-                     - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True))
-        return (gxhat * inv,
-                (gout * xhat).sum(axis=param_axes).reshape(gamma.shape),
-                gout.sum(axis=param_axes).reshape(beta.shape))
+            m1 = gxhat.mean(axis=axes, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=axes, keepdims=True)
+            gxhat -= m1
+            gxhat -= np.multiply(xhat, m2, out=scratch)
+        gxhat *= inv
+        return gxhat, ggamma, gout.sum(axis=param_axes).reshape(beta.shape)
 
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
@@ -420,6 +424,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     matmul. The backward pass computes the weight gradient as one GEMM per
     image and group, ``g @ colsᵀ``, summed over the batch, and scatters the
     input gradient with a fixed loop order so results are deterministic.
+
+    A 1×1 kernel with stride 1 and no padding skips im2col: the column
+    matrix is ``x`` itself (copied only if it is not C-contiguous), and the
+    input gradient is the column gradient reshaped, with no scatter. That
+    gradient is given ``x``'s memory layout, as the im2col path's
+    ``zeros_like`` does, so reductions downstream sum in the same order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
@@ -435,20 +445,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
-
     C_out_g = C_out // groups
     k = C_in_g * kh * kw
-    cols_g = cols.reshape(B, groups, k, Ho * Wo)
+    pointwise = kh == kw == 1 and s == 1 and p == 0
+    if pointwise:
+        cols_g = np.ascontiguousarray(x.data).reshape(B, groups, k, Ho * Wo)
+    else:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
+        cols_g = cols.reshape(B, groups, k, Ho * Wo)
     w_g = w.data.reshape(groups, C_out_g, k)
     out = np.matmul(w_g[None], cols_g)  # (B, groups, C_out_g, Ho*Wo)
     out = out.reshape(B, C_out, Ho, Wo)
     if b is not None:
-        out = out + b.data.reshape(1, C_out, 1, 1)
+        out += b.data.reshape(1, C_out, 1, 1)
 
     parents = (x, w) if b is None else (x, w, b)
 
@@ -457,12 +470,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         gw = np.matmul(g4, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
         gw = gw.reshape(w.shape)
         gcols = np.matmul(np.swapaxes(w_g, -1, -2)[None], g4)
-        gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
-        gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+        if pointwise and x.data.flags.c_contiguous:
+            gx = gcols.reshape(x.shape)
+        elif pointwise:
+            gx = np.empty_like(x.data)  # x's layout, as zeros_like(xp) below
+            gx[...] = gcols.reshape(x.shape)
+        else:
+            gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
+            gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -11,11 +11,15 @@ from .errors import DataError, NumericalError, UsageError
 from .module import Module
 from .rng import RandomSource
 from .serialization import save_checkpoint
-from .tensor import Tensor, log_softmax
+from .tensor import Tensor
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over pixels of -log softmax(logits)[true class]."""
+    """Mean over pixels of -log softmax(logits)[true class].
+
+    One graph node whose only parent is ``logits``; its gradient is
+    ``(softmax(logits) - onehot(mask)) / n`` over the ``n = B*H*W`` pixels.
+    """
     B, K, H, W = logits.shape
     mask = np.asarray(mask)
     if mask.shape != (B, H, W):
@@ -24,8 +28,20 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
         raise DataError(f"labels must lie in 0..{K - 1}, got [{mask.min()}, {mask.max()}]")
     onehot = np.zeros((B, K, H, W), dtype=logits.dtype)
     np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
-    logp = log_softmax(logits, axis=1)
-    return -(logp * Tensor(onehot)).sum() * (1.0 / (B * H * W))
+    inv_n = 1.0 / (B * H * W)
+    # log_softmax along the class axis, in tensor.log_softmax's operations
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = -(logp * onehot).sum() * inv_n
+
+    def backward(g):
+        grad = np.exp(logp)
+        grad *= inv_n
+        grad -= onehot * inv_n
+        grad *= g
+        return (grad,)
+
+    return Tensor._from_op(loss, (logits,), backward)
 
 
 def poly_lr(iteration: int, cfg: TrainConfig) -> float:

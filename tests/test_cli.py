@@ -65,6 +65,13 @@ class TestForward:
         save_tensor(inp, Tensor(np.zeros((4, 64, 64))))
         assert main(["forward", str(inp), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("shape", [(3, 0, 64), (3, 64, 0), (0, 3, 64, 64)])
+    def test_empty_image_exits_3(self, tmp_path, capsys, shape):
+        inp = tmp_path / "empty.tsr"
+        save_tensor(inp, Tensor(np.zeros(shape)))
+        assert main(["forward", str(inp), "--out", str(tmp_path)]) == 3
+        assert "H, W > 0" in capsys.readouterr().err
+
     def test_checkpoint_changes_output(self, tmp_path, capsys):
         img = np.random.default_rng(1).uniform(size=(3, 64, 64))
         inp = tmp_path / "image.tsr"

@@ -169,6 +169,9 @@ def _op_cases(rng):
     beta4 = Tensor(rng.normal(size=4))
     norm_w = Tensor(rng.normal(size=(2, 3, 2, 2)))
     stats = (rng.normal(size=(1, 3, 1, 1)), rng.random(size=(1, 3, 1, 1)) + 0.5)
+    # 1×1 convolutions: stride 1 and no padding take the direct GEMM path
+    pw_w = Tensor(rng.normal(size=(2, 3, 1, 1)))
+    pw_b = Tensor(rng.normal(size=2))
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -219,6 +222,18 @@ def _op_cases(rng):
          lambda x: (normalize(x, gamma, beta, (0, 2, 3), 1, 1e-5, stats)[0]
                     * norm_w).sum(),
          (2, 3, 2, 2), None),
+        ("pointwise", lambda x: (conv2d(x, pw_w, pw_b) ** 2.0).sum(),
+         (2, 3, 4, 4), None),
+        ("pointwise_weight", lambda w: (conv2d(conv_x, w) ** 2.0).sum(),
+         (2, 3, 1, 1), None),
+        ("pointwise_groups2_weight",
+         lambda w: (conv2d(conv_x4, w, groups=2) ** 2.0).sum(),
+         (4, 2, 1, 1), None),
+        ("pointwise_channels_last",
+         lambda x: (conv2d(x.permute(0, 3, 1, 2), pw_w) ** 2.0).sum(),
+         (2, 4, 4, 3), None),
+        ("pointwise_strided", lambda x: (conv2d(x, pw_w, stride=2) ** 2.0).sum(),
+         (2, 3, 5, 5), None),
     ]
 
 
@@ -231,6 +246,20 @@ def test_every_op_passes_gradient_check(seed):
             data = np.where(np.abs(data) < 0.05, data + 0.2, data)
         err = gradient_check(fn, Tensor(data), eps=1e-4)
         assert err < 1e-4, f"{name} failed gradient check: {err}"
+
+
+def test_pointwise_conv_input_grad_keeps_input_layout():
+    # channels-last data seen as (B, C, H, W), as the mix-FFN's token maps
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 5, 4, 3)).transpose(0, 3, 1, 2),
+               requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 3, 1, 1)), requires_grad=True)
+    out = conv2d(x, w)
+    g = rng.normal(size=out.shape)
+    gx = out._backward(g)[0]
+    assert gx.strides == x.data.strides
+    np.testing.assert_allclose(
+        gx, np.einsum("oc,bohw->bchw", w.data[:, :, 0, 0], g), rtol=1e-12)
 
 
 class TestFiniteness:

@@ -5,8 +5,8 @@ import pytest
 
 from scaseg import (AdamW, ConfigError, DataError, DecoderConfig,
                     EncoderConfig, SegModel, Tensor, TrainConfig, UsageError,
-                    cross_entropy, evaluate, gen_synthetic_dataset, miou,
-                    poly_lr, train_loop)
+                    cross_entropy, evaluate, gen_synthetic_dataset,
+                    log_softmax, miou, poly_lr, train_loop)
 from scaseg.data import PALETTE
 
 
@@ -92,15 +92,41 @@ class TestCrossEntropy:
 
     def test_gradient_matches_softmax_minus_onehot(self):
         g = np.random.default_rng(3)
-        logits = Tensor(g.normal(size=(1, 3, 2, 2)), requires_grad=True)
-        mask = g.integers(0, 3, size=(1, 2, 2))
-        cross_entropy(logits, mask).backward()
-        z = logits.data
-        p = np.exp(z - z.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
+        for (B, K, H, W), scale in (((1, 3, 2, 2), 1.0), ((2, 4, 3, 5), 3.0)):
+            logits = Tensor(g.normal(size=(B, K, H, W)), requires_grad=True)
+            mask = g.integers(0, K, size=(B, H, W))
+            cross_entropy(logits, mask).backward()
+            z = logits.data
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            onehot = np.zeros_like(z)
+            np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
+            assert np.allclose(logits.grad, (p - onehot) / (B * H * W), atol=1e-12)
+            # an upstream factor scales the gradient
+            unscaled = logits.grad
+            logits.zero_grad()
+            (cross_entropy(logits, mask) * scale).backward()
+            np.testing.assert_allclose(logits.grad, scale * unscaled, rtol=1e-14)
+
+    def test_one_node_equals_composite_bit_for_bit(self):
+        # log_softmax, a one-hot product, a sum and a 1/n scale, as separate
+        # nodes: the one-node loss must give the same bits and one parent
+        g = np.random.default_rng(4)
+        B, K, H, W = 2, 4, 3, 5
+        z = g.normal(size=(B, K, H, W))
+        mask = g.integers(0, K, size=(B, H, W))
         onehot = np.zeros_like(z)
         np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
-        assert np.allclose(logits.grad, (p - onehot) / 4, atol=1e-12)
+        ref_logits = Tensor(z, requires_grad=True)
+        ref = (-(log_softmax(ref_logits, axis=1) * Tensor(onehot)).sum()
+               * (1.0 / (B * H * W)))
+        ref.backward()
+        logits = Tensor(z, requires_grad=True)
+        loss = cross_entropy(logits, mask)
+        loss.backward()
+        assert np.array_equal(loss.data, ref.data)
+        assert np.array_equal(logits.grad, ref_logits.grad)
+        assert len(loss._parents) == 1 and loss._parents[0] is logits
 
 
 class TestPolyLr:
