@@ -1,6 +1,7 @@
 """Command-line entry point: describe / forward / train / gradcheck / ablate.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
+Exit codes: 0 ok, 2 configuration or usage error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import PALETTE, gen_synthetic_dataset
 from .decoder import SegModel
 from .errors import ConfigError, DataError, NumericalError
 from .gradcheck import gradient_check
-from .serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
+from .serialization import load_checkpoint, load_tensor, save_tensor
 from .tensor import Tensor
 from .train import cross_entropy, evaluate, train_loop
 
@@ -49,8 +50,27 @@ def _out_dir(args) -> str:
     return out
 
 
+def _write_csv(args, name: str, text: str) -> None:
+    """Write ``text`` to ``name`` in the ``--out`` directory, if one is given."""
+    if args.out:
+        with open(os.path.join(_out_dir(args), name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _build_model(cfg: FullConfig) -> SegModel:
     return SegModel(cfg.encoder, cfg.decoder, seed=cfg.train.seed)
+
+
+def _train_and_evaluate(cfg: FullConfig, **loop_args):
+    """Train a model built from ``cfg`` on its synthetic data; returns the
+    metrics rows and the final validation mIoU."""
+    t = cfg.train
+    model = _build_model(cfg)
+    H, W, K = cfg.encoder.height, cfg.encoder.width, cfg.decoder.num_classes
+    train_set = gen_synthetic_dataset(t.train_samples, H, W, K, t.seed)
+    val_set = gen_synthetic_dataset(t.val_samples, H, W, K, t.seed + 1)
+    rows = train_loop(model, train_set, val_set, t, **loop_args)
+    return rows, evaluate(model, val_set, K)
 
 
 def write_ppm(path, mask: np.ndarray) -> None:
@@ -66,10 +86,7 @@ def cmd_describe(args) -> int:
     cfg = _load(args)
     report = cost_report(cfg)
     print(report.to_text())
-    if args.out:
-        out = _out_dir(args)
-        with open(os.path.join(out, "describe.csv"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+    _write_csv(args, "describe.csv", report.to_csv())
     return 0
 
 
@@ -84,6 +101,8 @@ def cmd_forward(args) -> int:
     if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
         raise DataError(
             f"expected a (3, H, W) image tensor with H, W > 0, got {image.shape}")
+    if not np.isfinite(image.data).all():
+        raise DataError("image holds non-finite values (NaN or inf)")
     model.eval()
     logits = model(image)
     out = _out_dir(args)
@@ -96,18 +115,11 @@ def cmd_forward(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    t = cfg.train
-    model = _build_model(cfg)
-    H, W, K = cfg.encoder.height, cfg.encoder.width, cfg.decoder.num_classes
-    train_set = gen_synthetic_dataset(t.train_samples, H, W, K, t.seed)
-    val_set = gen_synthetic_dataset(t.val_samples, H, W, K, t.seed + 1)
     out = _out_dir(args)
-    rows = train_loop(
-        model, train_set, val_set, t,
-        metrics_path=os.path.join(out, "metrics.csv"),
+    rows, final_miou = _train_and_evaluate(
+        cfg, metrics_path=os.path.join(out, "metrics.csv"),
         checkpoint_path=os.path.join(out, "checkpoint.ckpt"),
         log_fn=print if args.verbose else None)
-    final_miou = evaluate(model, val_set, K)
     print(f"final val mIoU {final_miou:.4f} over {len(rows) - 1} iterations")
     return 0
 
@@ -145,26 +157,27 @@ def cmd_ablate(args) -> int:
     cfg = _load(args)
     table = ablation_table(cfg, args.axis, cfg.encoder.height, cfg.encoder.width)
     print(table.to_text())
-    out = None
-    if args.out:
-        out = _out_dir(args)
-        path = os.path.join(out, f"ablate_{args.axis}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
+    _write_csv(args, f"ablate_{args.axis}.csv", table.to_csv())
     if args.train:
         print("\nsetting,val_miou")
         for setting, dec_cfg in variants_for_axis(args.axis, cfg):
-            variant_cfg = FullConfig(encoder=cfg.encoder, decoder=dec_cfg,
-                                     train=cfg.train)
-            model = _build_model(variant_cfg)
-            t = variant_cfg.train
-            H, W, K = cfg.encoder.height, cfg.encoder.width, dec_cfg.num_classes
-            train_set = gen_synthetic_dataset(t.train_samples, H, W, K, t.seed)
-            val_set = gen_synthetic_dataset(t.val_samples, H, W, K, t.seed + 1)
-            train_loop(model, train_set, val_set, t)
-            score = evaluate(model, val_set, K)
+            _, score = _train_and_evaluate(replace(cfg, decoder=dec_cfg))
             print(f"{setting},{score:.4f}")
     return 0
+
+
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+    return value
+
+
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all parameters")
     common(p)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=4,
+    p.add_argument("--eps", type=_positive_float, default=1e-4)
+    p.add_argument("--samples", type=_non_negative_int, default=4,
                    help="elements probed per parameter tensor (0 = all)")
     p.set_defaults(fn=cmd_gradcheck)
 

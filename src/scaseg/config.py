@@ -67,7 +67,7 @@ class DecoderConfig:
 class TrainConfig:
     iterations: int = 2000
     batch_size: int = 4
-    base_lr: float = 1e-4
+    base_lr: float = 3e-4
     poly_power: float = 1.0
     weight_decay: float = 0.01
     seed: int = 0
@@ -76,12 +76,10 @@ class TrainConfig:
     eval_interval: int = 200
 
     def validate(self):
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be >= 1")
+        for name in ("iterations", "batch_size", "eval_interval",
+                     "train_samples", "val_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         return self
 
 

@@ -11,11 +11,23 @@ literature's convention of reporting one MAC as one FLOP.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .config import DecoderConfig, EncoderConfig, FullConfig
+from .config import (ATTENTION_VARIANTS, SCM_VARIANTS, DecoderConfig,
+                     EncoderConfig, FullConfig)
 from .errors import ConfigError
+
+
+def _table_text(header: str, rows) -> str:
+    """Rows of (name, params, macs) as aligned text under a header line."""
+    width = max([len(header)] + [len(str(r[0])) for r in rows])
+    return "\n".join(f"{name!s:<{width}}  {params:>12}  {macs:>16}"
+                     for name, params, macs in [(header, "params", "macs")] + rows)
+
+
+def _table_csv(header: str, rows) -> str:
+    return "".join(f"{name},{params},{macs}\n"
+                   for name, params, macs in [(header, "params", "macs")] + rows)
 
 
 @dataclass
@@ -40,28 +52,19 @@ class CostReport:
         macs = sum(e[2] for e in self.entries if e[0].startswith(prefix))
         return params, macs
 
+    def _rows(self):
+        return self.entries + [("total", self.params, self.macs)]
+
     def to_text(self) -> str:
-        width = max(len(e[0]) for e in self.entries) if self.entries else 6
-        width = max(width, len("module"))
-        lines = [f"{'module':<{width}}  {'params':>12}  {'macs':>16}"]
-        for path, params, macs in self.entries:
-            lines.append(f"{path:<{width}}  {params:>12}  {macs:>16}")
-        lines.append(f"{'total':<{width}}  {self.params:>12}  {self.macs:>16}")
-        return "\n".join(lines)
+        return _table_text("module", self._rows())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("module,params,macs\n")
-        for path, params, macs in self.entries:
-            out.write(f"{path},{params},{macs}\n")
-        out.write(f"total,{self.params},{self.macs}\n")
-        return out.getvalue()
+        return _table_csv("module", self._rows())
 
 
-def _conv(report, path, c_in, c_out, k, h, w, groups=1, bias=True):
+def _conv(report, path, c_in, c_out, k, h, w, groups=1):
     weights = (c_in // groups) * c_out * k * k
-    params = weights + (c_out if bias else 0)
-    report.add(path, params, weights * h * w)
+    report.add(path, weights + c_out, weights * h * w)
 
 
 def _norm(report, path, channels):
@@ -73,8 +76,8 @@ def _linear(report, path, d_in, d_out, tokens, bias=True):
     report.add(path, params, d_in * d_out * tokens)
 
 
-def _conv_bn(report, path, c_in, c_out, k, h, w, bias=True):
-    _conv(report, f"{path}.conv", c_in, c_out, k, h, w, bias=bias)
+def _conv_bn(report, path, c_in, c_out, k, h, w):
+    _conv(report, f"{path}.conv", c_in, c_out, k, h, w)
     _norm(report, f"{path}.bn", c_out)
 
 
@@ -178,33 +181,22 @@ class AblationTable:
     rows: list  # (setting, params, macs)
 
     def to_text(self) -> str:
-        width = max(len("setting"), max(len(str(r[0])) for r in self.rows))
-        lines = [f"{'setting':<{width}}  {'params':>12}  {'macs':>16}"]
-        for setting, params, macs in self.rows:
-            lines.append(f"{setting!s:<{width}}  {params:>12}  {macs:>16}")
-        return "\n".join(lines)
+        return _table_text("setting", self.rows)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("setting,params,macs\n")
-        for setting, params, macs in self.rows:
-            out.write(f"{setting},{params},{macs}\n")
-        return out.getvalue()
+        return _table_csv("setting", self.rows)
 
 
 def variants_for_axis(axis: str, base: FullConfig):
-    from dataclasses import replace
     dec = base.decoder
     if axis == "blocks":
         return [(str(l), replace(dec, num_blocks=l)) for l in range(1, 6)]
     if axis == "attention":
-        return sorted(
-            (name, replace(dec, attention_variant=name))
-            for name in ("successive", "plain-cross", "self-on-concat"))
+        return [(name, replace(dec, attention_variant=name))
+                for name in sorted(ATTENTION_VARIANTS)]
     if axis == "scm":
-        return sorted(
-            (name, replace(dec, scm_variant=name))
-            for name in ("eq6", "eq7", "eq8"))
+        return [(name, replace(dec, scm_variant=name))
+                for name in sorted(SCM_VARIANTS)]
     if axis == "variant":
         rows = variants_for_axis("attention", base)
         rows += [(f"scm-{n}", d) for n, d in variants_for_axis("scm", base)]

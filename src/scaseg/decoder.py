@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DecoderConfig, EncoderConfig
+from .config import SCM_VARIANTS, DecoderConfig, EncoderConfig
 from .encoder import Encoder, FeaturePyramid
 from .errors import ConfigError, ShapeError
 from .layers import (ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention,
@@ -27,7 +27,6 @@ from .tensor import Tensor, bilinear_resize, concat
 class ResizedFeatures:
     maps: tuple       # R_1..R_4 as (B, C_i, H/64, W/64)
     grid: tuple       # (H/64, W/64)
-    source_size: tuple
 
     def tokens(self):
         return [tokens_from_map(m) for m in self.maps]
@@ -39,7 +38,7 @@ def resize_pyramid(p: FeaturePyramid) -> ResizedFeatures:
         raise ConfigError(f"source size {H}x{W} must be divisible by 64")
     grid = (H // 64, W // 64)
     maps = tuple(bilinear_resize(f, grid) for f in p.features)
-    return ResizedFeatures(maps, grid, (H, W))
+    return ResizedFeatures(maps, grid)
 
 
 class ScaStage(Module):
@@ -81,7 +80,6 @@ class AggregatedSemanticsExtractor(Module):
         if cfg.attention_variant not in ("successive", "plain-cross"):
             raise ConfigError(f"unsupported variant {cfg.attention_variant!r}")
         self.variant = cfg.attention_variant
-        self.num_blocks = cfg.num_blocks
         self.blocks = [
             [ScaStage(channels[t], channels[t + 1], rng.spawn(100 * l + t),
                       heads=cfg.heads[t], embed_dim=cfg.ase_embed_dim,
@@ -142,7 +140,7 @@ class SemanticCombiner(Module):
 
     def __init__(self, channels: int, variant: str, rng: RandomSource):
         super().__init__()
-        if variant not in ("eq6", "eq7", "eq8"):
+        if variant not in SCM_VARIANTS:
             raise ConfigError(f"unknown scm variant {variant!r}")
         self.variant = variant
         self.proj_f = ConvBN(channels, channels, rng.spawn(1))
@@ -171,8 +169,6 @@ class SegmentationHead(Module):
     def __init__(self, channels, head_channels: int, num_classes: int,
                  rng: RandomSource):
         super().__init__()
-        self.head_channels = head_channels
-        self.num_classes = num_classes
         self.projs = [ConvBN(c, head_channels, rng.spawn(i), relu=True)
                       for i, c in enumerate(channels)]
         self.fuse = ConvBN(4 * head_channels, head_channels, rng.spawn(10),
@@ -196,7 +192,6 @@ class Decoder(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        self.enc_channels = tuple(enc_channels)
         if cfg.attention_variant == "self-on-concat":
             self.ase = SelfOnConcatExtractor(enc_channels, cfg, rng.spawn(1))
         else:

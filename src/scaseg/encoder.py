@@ -34,7 +34,6 @@ class Encoder(Module):
     def __init__(self, cfg: EncoderConfig, rng: RandomSource):
         super().__init__()
         cfg.validate()
-        self.cfg = cfg
         stages = []
         c_prev = 3
         for i, c in enumerate(cfg.channels):

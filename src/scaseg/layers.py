@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ShapeError
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, concat, conv2d, matmul, normalize, softmax
+from .tensor import Tensor, conv2d, matmul, normalize, softmax
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
@@ -26,7 +26,6 @@ class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: RandomSource, bias: bool = True):
         super().__init__()
         self.d_in = d_in
-        self.d_out = d_out
         self.weight = Tensor(rng.truncated_normal((d_in, d_out), std=0.02),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
@@ -95,14 +94,11 @@ class Conv2d(Module):
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: RandomSource,
                  stride: int = 1, padding: int = 0, groups: int = 1,
-                 bias: bool = True, init_std: float | None = None):
+                 init_std: float | None = None):
         super().__init__()
         if c_in % groups or c_out % groups:
             raise ConfigError(
                 f"groups={groups} must divide channels {c_in}->{c_out}")
-        self.c_in = c_in
-        self.c_out = c_out
-        self.k = k
         self.stride = stride
         self.padding = padding
         self.groups = groups
@@ -112,7 +108,7 @@ class Conv2d(Module):
         self.weight = Tensor(
             rng.normal((c_out, c_in // groups, k, k), std=init_std),
             requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias,
@@ -153,7 +149,6 @@ class MultiHeadAttention(Module):
             raise ConfigError(f"embed dim {d} not divisible by {heads} heads")
         self.kv_dim = kv_dim
         self.q_dim = q_dim
-        self.embed_dim = d
         self.heads = heads
         self.d_k = d // heads
         self.w_q = Linear(q_dim, d, rng.spawn(1), bias=bias)
@@ -203,18 +198,14 @@ class MixFFN(Module):
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
     def __call__(self, x: Tensor, spatial) -> Tensor:
-        h, w = int(spatial[0]), int(spatial[1])
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape(1, *x.shape)
-        B, n, c = x.shape
-        if n != h * w:
-            raise ShapeError(f"{n} tokens cannot form a {h}x{w} grid")
+        n, c = x.shape[1:]
         if c != self.channels:
             raise ShapeError(f"MixFFN({self.channels}) got {c} channels")
-        grid = x.reshape(B, h, w, c).permute(0, 3, 1, 2)
-        out = self.fc2(self.dw(self.fc1(grid)).gelu())
-        out = out.permute(0, 2, 3, 1).reshape(B, n, c)
+        grid = map_from_tokens(x, spatial)
+        out = tokens_from_map(self.fc2(self.dw(self.fc1(grid)).gelu()))
         return out.reshape(n, c) if squeeze else out
 
 
@@ -231,10 +222,3 @@ def map_from_tokens(x: Tensor, spatial) -> Tensor:
     if n != h * w:
         raise ShapeError(f"{n} tokens cannot form a {h}x{w} grid")
     return x.reshape(B, h, w, c).permute(0, 3, 1, 2)
-
-
-__all__ = [
-    "Linear", "LayerNorm", "BatchNorm2d", "Conv2d", "ConvBN",
-    "MultiHeadAttention", "MixFFN", "tokens_from_map",
-    "map_from_tokens", "concat", "LN_EPS", "BN_EPS", "BN_MOMENTUM",
-]

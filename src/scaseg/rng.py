@@ -17,8 +17,8 @@ class RandomSource:
         """Derive an independent child stream, stable under the parent seed."""
         return RandomSource((self.seed * 1_000_003 + stream) & 0x7FFFFFFF)
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self._gen.normal(0.0, std, size=shape)
 
     def truncated_normal(self, shape, std: float = 0.02) -> np.ndarray:
         """Normal(0, std) resampled until within two standard deviations."""
@@ -29,11 +29,8 @@ class RandomSource:
             bad = np.abs(out) > 2.0 * std
         return out
 
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int):
+        return self._gen.integers(low, high)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)

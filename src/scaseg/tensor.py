@@ -37,8 +37,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -77,36 +77,23 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- autodiff engine ------------------------------------------------------
 
-    def backward(self, grad=None):
-        """Run reverse-mode accumulation from this tensor.
-
-        Without an explicit seed gradient the tensor must be scalar. Leaf
+    def backward(self):
+        """Run reverse-mode accumulation from this scalar tensor. Leaf
         gradients accumulate across repeated calls.
         """
         if self._backward is None and not self._parents:
             raise UsageError("backward() called on a tensor with no recorded graph")
-        if grad is None:
-            if self.size != 1:
-                raise UsageError(
-                    f"backward() needs a scalar, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+        if self.size != 1:
+            raise UsageError(f"backward() needs a scalar, got shape {self.shape}")
+        grad = np.ones_like(self.data)
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -161,12 +148,6 @@ class Tensor:
         a = self
         return Tensor._from_op(-self.data, (a,), lambda g: (-g,))
 
-    def __sub__(self, other):
-        return self + (-_as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return _as_tensor(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
         a, b = self, other
@@ -189,9 +170,6 @@ class Tensor:
 
         return Tensor._from_op(self.data / other.data, (a, b), backward)
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other, self.dtype) / self
-
     def __pow__(self, exponent: float):
         a = self
         e = float(exponent)
@@ -200,9 +178,6 @@ class Tensor:
             return (g * e * a.data ** (e - 1.0),)
 
         return Tensor._from_op(self.data ** e, (a,), backward)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         a = self
@@ -218,25 +193,16 @@ class Tensor:
     # -- shape primitives -----------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         old = self.shape
         return Tensor._from_op(self.data.reshape(shape), (a,),
                                lambda g: (g.reshape(old),))
 
     def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         a = self
         inv = np.argsort(axes)
         return Tensor._from_op(self.data.transpose(axes), (a,),
                                lambda g: (g.transpose(inv),))
-
-    def transpose(self, ax0: int, ax1: int):
-        axes = list(range(self.ndim))
-        axes[ax0], axes[ax1] = axes[ax1], axes[ax0]
-        return self.permute(*axes)
 
     # -- reductions -----------------------------------------------------------
 
@@ -251,15 +217,6 @@ class Tensor:
             return (np.broadcast_to(g2, a.shape).copy(),)
 
         return Tensor._from_op(out_data, (a,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.shape[i] for i in axis]))
-        else:
-            n = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities --------------------------------------------
 
@@ -342,11 +299,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (x,), backward)
 
 
+def log_softmax_data(z: np.ndarray, axis: int) -> np.ndarray:
+    """``z - log(sum(exp(z)))`` along ``axis``, shifted by the max first."""
+    out = z - z.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    return out
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     _check_axis(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = log_softmax_data(x.data, axis)
     sm = np.exp(out_data)
 
     def backward(g):

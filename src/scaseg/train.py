@@ -11,7 +11,7 @@ from .errors import DataError, NumericalError, UsageError
 from .module import Module
 from .rng import RandomSource
 from .serialization import save_checkpoint
-from .tensor import Tensor
+from .tensor import Tensor, log_softmax_data
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -29,9 +29,7 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
     onehot = np.zeros((B, K, H, W), dtype=logits.dtype)
     np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
     inv_n = 1.0 / (B * H * W)
-    # log_softmax along the class axis, in tensor.log_softmax's operations
-    logp = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    logp = log_softmax_data(logits.data, axis=1)
     loss = -(logp * onehot).sum() * inv_n
 
     def backward(g):
@@ -112,47 +110,47 @@ class AdamW:
         p -= np.divide(np.multiply(np.divide(m, bc1, out=s), lr, out=s), g, out=s)
 
 
+def _iou_counts(pred: np.ndarray, true: np.ndarray, K: int):
+    """Per-class intersection and union pixel counts of two label maps."""
+    classes = np.arange(K).reshape((K,) + (1,) * pred.ndim)
+    p, t = pred == classes, true == classes
+    axes = tuple(range(1, p.ndim))
+    return (p & t).sum(axis=axes), (p | t).sum(axis=axes)
+
+
+def _mean_iou(inter: np.ndarray, union: np.ndarray) -> float:
+    """Mean IoU over the classes present in either map (0.0 if none is)."""
+    seen = union > 0
+    return float((inter[seen] / union[seen]).mean()) if seen.any() else 0.0
+
+
 def miou(pred: np.ndarray, true: np.ndarray, K: int):
-    """Per-class IoU and their mean; classes absent from both maps are
-    excluded from the mean."""
+    """Per-class IoU (``None`` for a class absent from both maps) and their
+    mean over the present classes."""
     pred = np.asarray(pred)
     true = np.asarray(true)
     if pred.shape != true.shape:
         raise DataError(f"shape mismatch {pred.shape} vs {true.shape}")
-    ious = []
-    present = []
-    for c in range(K):
-        p = pred == c
-        t = true == c
-        union = np.logical_or(p, t).sum()
-        if union == 0:
-            ious.append(None)
-            continue
-        inter = np.logical_and(p, t).sum()
-        iou = inter / union
-        ious.append(float(iou))
-        present.append(iou)
-    return ious, float(np.mean(present)) if present else 0.0
+    inter, union = _iou_counts(pred, true, K)
+    ious = [float(i / u) if u else None for i, u in zip(inter, union)]
+    return ious, _mean_iou(inter, union)
 
 
 def evaluate(model: Module, samples: list[SyntheticSample], K: int) -> float:
-    """Dataset mIoU from aggregated per-class intersection/union counts."""
+    """Dataset mIoU from per-class intersection/union counts summed over
+    the samples: ``miou`` of all predictions and masks taken together."""
     was_training = model.training
     model.eval()
     inter = np.zeros(K, dtype=np.int64)
     union = np.zeros(K, dtype=np.int64)
     for sample in samples:
         logits = model(Tensor(sample.image[None]))
-        pred = logits.data.argmax(axis=1)[0]
-        for c in range(K):
-            p = pred == c
-            t = sample.mask == c
-            inter[c] += np.logical_and(p, t).sum()
-            union[c] += np.logical_or(p, t).sum()
+        i, u = _iou_counts(logits.data.argmax(axis=1)[0], sample.mask, K)
+        inter += i
+        union += u
     if was_training:
         model.train()
-    seen = union > 0
-    return float((inter[seen] / union[seen]).mean()) if seen.any() else 0.0
+    return _mean_iou(inter, union)
 
 
 def _format_row(iteration: int, lr: float, loss: float, val) -> str:

@@ -72,6 +72,20 @@ class TestForward:
         assert main(["forward", str(inp), "--out", str(tmp_path)]) == 3
         assert "H, W > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+    def test_non_finite_image_exits_3(self, tmp_path, capsys, bad):
+        img = np.random.default_rng(2).uniform(size=(3, 64, 64))
+        if bad == "all-nan":
+            img[...] = np.nan
+        else:
+            img[1, 5, 7] = np.inf
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(img))
+        out = tmp_path / "out"
+        assert main(["forward", str(inp), "--out", str(out)] + TINY) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "logits.tsr").exists()
+
     def test_checkpoint_changes_output(self, tmp_path, capsys):
         img = np.random.default_rng(1).uniform(size=(3, 64, 64))
         inp = tmp_path / "image.tsr"
@@ -127,6 +141,14 @@ class TestTrain:
         self._run(tmp_path, "a", seed=0)
         assert "final val mIoU" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["train_samples", "val_samples"])
+    def test_empty_dataset_exits_2(self, tmp_path, capsys, key):
+        args = ["train", "--out", str(tmp_path), "--set", "iterations=2",
+                "--set", f"{key}=0"] + TINY
+        assert main(args) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # the thread count is set in each child's environment only; the
         # GEMMs (conv forward, weight and input gradients, resize, attention)
@@ -153,6 +175,15 @@ class TestGradcheck:
         assert main(args) == 0
         assert "max relative error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "-1"), ("--eps", "0"),
+                                            ("--eps", "nan"),
+                                            ("--samples", "-1")])
+    def test_bad_probe_setting_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", flag, value] + TINY)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_scm_axis_rows_identical(self, tmp_path, capsys):
@@ -170,6 +201,20 @@ class TestAblate:
             rows[name] = (int(params), int(macs))
         assert rows["successive"] == rows["plain-cross"]
         assert rows["self-on-concat"] > rows["successive"]
+
+    def test_scm_train_scores_match_train_command(self, tmp_path, capsys):
+        tiny_run = ["--set", "iterations=2", "--set", "batch_size=2",
+                    "--set", "train_samples=4", "--set", "val_samples=2",
+                    "--set", "eval_interval=2"] + TINY
+        assert main(["ablate", "--axis", "scm", "--train"] + tiny_run) == 0
+        scores = capsys.readouterr().out.split("setting,val_miou\n")[1]
+        scores = dict(line.split(",") for line in scores.splitlines())
+        assert list(scores) == ["eq6", "eq7", "eq8"]
+        assert len(set(scores.values())) == 3  # each row trains its variant
+        # eq6 is the default combiner, so ``train`` runs the same variant
+        assert main(["train", "--out", str(tmp_path)] + tiny_run) == 0
+        assert (f"final val mIoU {scores['eq6']} over 2 iterations"
+                in capsys.readouterr().out)
 
     def test_blocks_axis_has_five_rows(self, capsys):
         assert main(["ablate", "--axis", "blocks"]) == 0

@@ -186,7 +186,6 @@ def _op_cases(rng):
         ("relu", lambda x: (x.relu() * other).sum(), (3, 4), "away_from_zero"),
         ("softmax", lambda x: (softmax(x, -1) * other).sum(), (3, 4), None),
         ("log_softmax", lambda x: (log_softmax(x, -1) * other).sum(), (3, 4), None),
-        ("mean", lambda x: (x.mean(axis=0) * x.mean(axis=1).sum()).sum(), (3, 4), None),
         ("reshape_permute", lambda x: (x.reshape(4, 3).permute(1, 0) * other).sum(),
          (3, 4), None),
         ("slice", lambda x: (x[1:, :2] * x[:2, 2:]).sum(), (3, 4), None),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from scaseg import (AdamW, ConfigError, DataError, DecoderConfig,
-                    EncoderConfig, SegModel, Tensor, TrainConfig, UsageError,
-                    cross_entropy, evaluate, gen_synthetic_dataset,
-                    log_softmax, miou, poly_lr, train_loop)
+                    EncoderConfig, SegModel, SyntheticSample, Tensor,
+                    TrainConfig, UsageError, cross_entropy, evaluate,
+                    gen_synthetic_dataset, log_softmax, miou, poly_lr,
+                    train_loop)
 from scaseg.data import PALETTE
+from scaseg.module import Module
 
 
 class TestSyntheticData:
@@ -288,6 +290,50 @@ class TestMiou:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             miou(np.zeros((2, 2), int), np.zeros((3, 3), int), 2)
+
+    def test_matches_per_class_loop_reference(self):
+        # batched maps; class 4 only predicted, class 5 absent from both
+        g = np.random.default_rng(6)
+        pred = g.integers(0, 5, size=(2, 7, 9))
+        true = g.integers(0, 4, size=(2, 7, 9))
+        ref = []
+        for c in range(6):
+            p, t = pred == c, true == c
+            union = np.logical_or(p, t).sum()
+            ref.append(None if union == 0
+                       else float(np.logical_and(p, t).sum() / union))
+        ious, mean = miou(pred, true, 6)
+        assert ious == ref
+        assert mean == float(np.mean([v for v in ref if v is not None]))
+
+
+class FixedLogits(Module):
+    """Stand-in model returning the given logits, one array per call."""
+
+    def __init__(self, logits):
+        super().__init__()
+        self.queue = list(logits)
+
+    def __call__(self, x):
+        return Tensor(self.queue.pop(0))
+
+
+class TestEvaluate:
+    def test_pools_counts_over_samples_as_miou_does(self):
+        # class 3 is never true and never predicted, so it is excluded
+        g = np.random.default_rng(5)
+        K, H, W = 4, 5, 6
+        logits = [g.normal(size=(1, K, H, W)) for _ in range(3)]
+        for z in logits:
+            z[:, 3] = -10.0
+        masks = [g.integers(0, 3, size=(H, W)) for _ in range(3)]
+        samples = [SyntheticSample(np.zeros((3, H, W)), m) for m in masks]
+        preds = [z.argmax(axis=1)[0] for z in logits]
+        expected = miou(np.concatenate(preds), np.concatenate(masks), K)[1]
+        assert evaluate(FixedLogits(logits), samples, K) == expected
+        # pooled counts, not a mean of per-sample scores
+        per_sample = np.mean([miou(p, m, K)[1] for p, m in zip(preds, masks)])
+        assert expected != per_sample
 
 
 def tiny_setup(seed=0, iterations=4):
