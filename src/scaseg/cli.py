@@ -92,6 +92,10 @@ def cmd_describe(args) -> int:
 
 def cmd_forward(args) -> int:
     cfg = _load(args)
+    if cfg.decoder.num_classes > len(PALETTE):
+        raise ConfigError(
+            f"the mask is drawn with the {len(PALETTE)}-colour palette: "
+            f"at most {len(PALETTE)} classes, got {cfg.decoder.num_classes}")
     model = _build_model(cfg)
     if args.checkpoint:
         model.load_state(load_checkpoint(args.checkpoint))

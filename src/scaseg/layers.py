@@ -2,8 +2,9 @@
 
 Conventions: image tensors are (B, C, H, W); token tensors are (B, N, C)
 with tokens flattened row-major from the spatial grid. LayerNorm epsilon is
-1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. Both norms are one graph
-node each, built by the shared ``tensor.normalize`` helper.
+1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. The norms (through the
+shared ``tensor.normalize``), Linear, the attention core and the depthwise
+conv are one graph node each, and tokens stay (B, N, C) through the mix-FFN.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ShapeError
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, conv2d, matmul, normalize, softmax
+from .tensor import (Tensor, attention, conv2d, depthwise_tokens, linear,
+                     normalize)
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
@@ -25,18 +27,12 @@ class Linear(Module):
 
     def __init__(self, d_in: int, d_out: int, rng: RandomSource, bias: bool = True):
         super().__init__()
-        self.d_in = d_in
         self.weight = Tensor(rng.truncated_normal((d_in, d_out), std=0.02),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d_in:
-            raise ShapeError(f"Linear expects last dim {self.d_in}, got {x.shape}")
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -150,37 +146,20 @@ class MultiHeadAttention(Module):
         self.kv_dim = kv_dim
         self.q_dim = q_dim
         self.heads = heads
-        self.d_k = d // heads
         self.w_q = Linear(q_dim, d, rng.spawn(1), bias=bias)
         self.w_k = Linear(kv_dim, d, rng.spawn(2), bias=bias)
         self.w_v = Linear(kv_dim, d, rng.spawn(3), bias=bias)
         self.w_o = Linear(d, q_dim, rng.spawn(4), bias=bias)
-        self.last_attention = None  # numpy copy of the latest attention weights
+        self.last_attention = None  # latest attention weights, (B, h, n_q, n_kv)
 
     def __call__(self, kv_src: Tensor, q_src: Tensor) -> Tensor:
-        squeeze = q_src.ndim == 2
-        if squeeze:
-            kv_src = kv_src.reshape(1, *kv_src.shape)
-            q_src = q_src.reshape(1, *q_src.shape)
         if kv_src.shape[-1] != self.kv_dim or q_src.shape[-1] != self.q_dim:
             raise ShapeError(
                 f"attention configured for kv={self.kv_dim}, q={self.q_dim}; "
                 f"got {kv_src.shape} and {q_src.shape}")
-        B, n_q = q_src.shape[0], q_src.shape[1]
-        n_kv = kv_src.shape[1]
-        h, dk = self.heads, self.d_k
-
-        q = self.w_q(q_src).reshape(B, n_q, h, dk).permute(0, 2, 1, 3)
-        k = self.w_k(kv_src).reshape(B, n_kv, h, dk).permute(0, 2, 1, 3)
-        v = self.w_v(kv_src).reshape(B, n_kv, h, dk).permute(0, 2, 1, 3)
-
-        scores = matmul(q, k.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
-        attn = softmax(scores, axis=-1)
-        self.last_attention = attn.data.copy()
-        out = matmul(attn, v)  # (B, h, n_q, dk)
-        out = out.permute(0, 2, 1, 3).reshape(B, n_q, h * dk)
-        out = self.w_o(out)
-        return out.reshape(n_q, self.q_dim) if squeeze else out
+        out, self.last_attention = attention(
+            self.w_q(q_src), self.w_k(kv_src), self.w_v(kv_src), self.heads)
+        return self.w_o(out)
 
 
 class MixFFN(Module):
@@ -198,15 +177,9 @@ class MixFFN(Module):
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
     def __call__(self, x: Tensor, spatial) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        n, c = x.shape[1:]
-        if c != self.channels:
-            raise ShapeError(f"MixFFN({self.channels}) got {c} channels")
-        grid = map_from_tokens(x, spatial)
-        out = tokens_from_map(self.fc2(self.dw(self.fc1(grid)).gelu()))
-        return out.reshape(n, c) if squeeze else out
+        hidden = linear(x, self.fc1.weight, self.fc1.bias)
+        hidden = depthwise_tokens(hidden, spatial, self.dw.weight, self.dw.bias)
+        return linear(hidden.gelu(), self.fc2.weight, self.fc2.bias)
 
 
 def tokens_from_map(x: Tensor) -> Tensor:

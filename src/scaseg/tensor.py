@@ -285,6 +285,99 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ W (+ b)`` over the last axis as one node. ``w`` is ``(d_in,
+    d_out)`` or a 1×1 conv weight ``(d_out, d_in, 1, 1)``, read through its
+    transposed 2-D view; its gradient keeps ``w``'s shape."""
+    wm = w.data if w.ndim == 2 else w.data.reshape(w.shape[0], -1).T
+    d_in, d_out = wm.shape
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"linear expects last dim {d_in}, got {x.shape}")
+    out = np.matmul(x.data, wm)
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g2, x2 = g.reshape(-1, d_out), x.data.reshape(-1, d_in)
+        gw = x2.T @ g2 if w.ndim == 2 else (g2.T @ x2).reshape(w.shape)
+        grads = (np.matmul(g, wm.T), gw)
+        return grads if b is None else grads + (g2.sum(axis=0),)
+
+    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    """Multi-head ``softmax(QKᵀ/√d_k)·V``, head split and merge included, as
+    one node. ``q`` is ``(..., n_q, d)``, ``k`` and ``v`` ``(..., n_kv, d)``.
+    Returns the output and ``P``, ``(B, heads, n_q, n_kv)`` with the leading
+    axes flattened into ``B``. The backward reads ``P`` and never writes it;
+    its softmax part is ``dS = P ∘ (dP − rowsum(dP ∘ P))``."""
+    if (k.shape != v.shape or q.shape[-1] % heads
+            or k.shape[:-2] + k.shape[-1:] != q.shape[:-2] + q.shape[-1:]):
+        raise ShapeError(f"attention with {heads} heads got q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+    dk = q.shape[-1] // heads
+
+    def split(t):  # (..., n, d) -> (B, heads, n, dk)
+        return t.reshape(-1, t.shape[-2], heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, heads, n, dk) -> (..., n, d)
+        return t.transpose(0, 2, 1, 3).reshape(*q.shape[:-2], t.shape[2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dk)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        dp = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+        return (merge(np.matmul(ds, kh)),
+                merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)),
+                merge(np.matmul(p.transpose(0, 1, 3, 2), gh)))
+
+    return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward), p
+
+
+def depthwise_tokens(x: Tensor, grid, w: Tensor, b: Tensor) -> Tensor:
+    """Depthwise k×k conv (stride 1, zero padding k // 2, ``w`` of shape
+    ``(C, 1, k, k)``) on ``(..., h·w, C)`` row-major tokens of ``grid = (h,
+    w)``, as one node: a shifted multiply-add per tap over a zero-padded
+    channels-last buffer, skipping taps that see only padding. The backward
+    runs the same shifts."""
+    h, wd = int(grid[0]), int(grid[1])
+    C, k = w.shape[0], w.shape[-1]
+    if x.shape[-2:] != (h * wd, C) or w.shape != (C, 1, k, k):
+        raise ShapeError(f"depthwise weight {w.shape} on tokens {x.shape} "
+                         f"over a {h}x{wd} grid")
+    p = k // 2
+    xm = x.data.reshape(-1, h, wd, C)
+    xp = np.zeros((len(xm), h + 2 * p, wd + 2 * p, C), x.dtype)
+    xp[:, p:p + h, p:p + wd] = xm
+    taps = w.data[:, 0].transpose(1, 2, 0)  # (k, k, C)
+    live = [(i, j) for i in range(k) for j in range(k)
+            if abs(i - p) < h and abs(j - p) < wd]
+    out = np.zeros_like(xm)
+    for i, j in live:
+        out += xp[:, i:i + h, j:j + wd] * taps[i, j]
+    out += b.data
+
+    def backward(g):
+        gm = g.reshape(xm.shape)
+        gxp, gtaps = np.zeros_like(xp), np.zeros_like(taps)
+        for i, j in live:
+            gxp[:, i:i + h, j:j + wd] += gm * taps[i, j]
+            gtaps[i, j] = (gm * xp[:, i:i + h, j:j + wd]).reshape(-1, C).sum(axis=0)
+        return (gxp[:, p:p + h, p:p + wd].reshape(x.shape),
+                gtaps.transpose(2, 0, 1).reshape(w.shape),
+                gm.reshape(-1, C).sum(axis=0))
+
+    return Tensor._from_op(out.reshape(x.shape), (x, w, b), backward)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``."""
     _check_axis(x, axis)
@@ -389,9 +482,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     A 1×1 kernel with stride 1 and no padding skips im2col: the column
     matrix is ``x`` itself (copied only if it is not C-contiguous), and the
-    input gradient is the column gradient reshaped, with no scatter. That
-    gradient is given ``x``'s memory layout, as the im2col path's
-    ``zeros_like`` does, so reductions downstream sum in the same order.
+    input gradient is the column gradient reshaped, with no scatter.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
@@ -432,11 +523,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         gw = np.matmul(g4, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
         gw = gw.reshape(w.shape)
         gcols = np.matmul(np.swapaxes(w_g, -1, -2)[None], g4)
-        if pointwise and x.data.flags.c_contiguous:
+        if pointwise:
             gx = gcols.reshape(x.shape)
-        elif pointwise:
-            gx = np.empty_like(x.data)  # x's layout, as zeros_like(xp) below
-            gx[...] = gcols.reshape(x.shape)
         else:
             gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
             gxp = np.zeros_like(xp)

@@ -19,7 +19,7 @@ from scaseg import (Decoder, DecoderConfig, Encoder, EncoderConfig,
 from scaseg.cli import main as cli_main
 
 from conftest import ACCEPTANCE_LINES
-from test_costmodel import CONFIGS, model_param_count
+from test_costmodel import CONFIGS, counted_macs, model_param_count
 
 
 def check(num, desc, ok, detail=""):
@@ -199,36 +199,18 @@ def test_criterion_08_cost_model_oracle_equivalence(monkeypatch):
     walker_ok = all(cost_report(cfg).params == model_param_count(cfg)
                     for cfg in CONFIGS)
 
-    # instrumented convolution primitive counts multiply-accumulates
+    # instrumented primitives (convolutions, linear maps, attention scores
+    # and values, the depthwise conv on tokens) count multiply-accumulates
     # position by position during a real forward pass
-    from scaseg import layers as layers_mod
-    real = layers_mod.conv2d
-    counter = [0]
-
-    def counting_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
-        out = real(x, w, b, stride=stride, padding=padding, groups=groups)
-        c_out, c_in_g, kh, kw = w.shape
-        _, _, h_out, w_out = out.shape
-        for _ in range(h_out):
-            for _ in range(w_out):
-                for _ in range(c_out):
-                    counter[0] += c_in_g * kh * kw
-        return out
-
-    monkeypatch.setattr(layers_mod, "conv2d", counting_conv2d)
     cfg = FullConfig(encoder=EncoderConfig(channels=(2, 3, 4, 5)),
                      decoder=DecoderConfig(num_blocks=1, head_channels=4,
                                            num_classes=2))
-    model = SegModel(cfg.encoder, cfg.decoder, seed=0)
-    model.eval()
-    model(Tensor(np.zeros((1, 3, 64, 64))))
-    report = cost_report(cfg)
-    expected = sum(m for path, _, m in report.entries if ".attn" not in path)
-    macs_ok = counter[0] == expected
+    counted = counted_macs(cfg, monkeypatch)
+    expected = cost_report(cfg).macs
     check(8, "analytic costs equal serialized-parameter and instrumented "
              "loop oracles exactly",
-          walker_ok and macs_ok,
-          f"{len(CONFIGS)} configs; conv MACs {counter[0]} == {expected}")
+          walker_ok and counted == expected,
+          f"{len(CONFIGS)} configs; MACs {counted} == {expected}")
 
 
 def test_criterion_09_desk_scale_learning():

@@ -86,6 +86,15 @@ class TestForward:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "logits.tsr").exists()
 
+    def test_more_classes_than_palette_colours_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        out = tmp_path / "out"
+        assert main(["forward", str(inp), "--out", str(out),
+                     "--set", "num_classes=13"] + TINY) == 2
+        assert "12-colour" in capsys.readouterr().err
+        assert not (out / "logits.tsr").exists()
+
     def test_checkpoint_changes_output(self, tmp_path, capsys):
         img = np.random.default_rng(1).uniform(size=(3, 64, 64))
         inp = tmp_path / "image.tsr"

@@ -112,46 +112,84 @@ class TestParamOracle:
                 cfg, tmp_path)
 
 
+def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
+    """Run a real eval-mode forward pass at H x H with every primitive that
+    multiplies and accumulates instrumented, counting MACs position by
+    position: convolutions, linear maps, attention scores and values, and
+    the depthwise conv on tokens."""
+    counter = [0]
+    real_conv, real_linear = layers_mod.conv2d, layers_mod.linear
+    real_attention, real_depthwise = (layers_mod.attention,
+                                      layers_mod.depthwise_tokens)
+
+    def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
+        out = real_conv(x, w, b, stride=stride, padding=padding, groups=groups)
+        c_out, c_in_g, kh, kw = w.shape
+        _, _, h_out, w_out = out.shape
+        for _ in range(h_out):
+            for _ in range(w_out):
+                for _ in range(c_out):
+                    counter[0] += c_in_g * kh * kw
+        return out
+
+    def linear(x, w, b=None):
+        out = real_linear(x, w, b)
+        for _ in range(out.size // out.shape[-1]):  # tokens
+            for _ in range(out.shape[-1]):
+                counter[0] += x.shape[-1]
+        return out
+
+    def attention(q, k, v, heads):
+        out, p = real_attention(q, k, v, heads)
+        batch, _, n_q, n_kv = p.shape
+        dk = q.shape[-1] // heads
+        for _ in range(batch * heads * n_q):
+            for _ in range(n_kv):  # one score per key
+                counter[0] += dk
+            for _ in range(dk):  # one output channel, summed over keys
+                counter[0] += n_kv
+        return out, p
+
+    def depthwise_tokens(x, grid, w, b):
+        out = real_depthwise(x, grid, w, b)
+        c, _, kh, kw = w.shape
+        for _ in range(out.size // c):  # tokens
+            for _ in range(c):
+                counter[0] += kh * kw
+        return out
+
+    for name, fn in (("conv2d", conv2d), ("linear", linear),
+                     ("attention", attention),
+                     ("depthwise_tokens", depthwise_tokens)):
+        monkeypatch.setattr(layers_mod, name, fn)
+    H = cfg.encoder.height if H is None else H
+    model = SegModel(cfg.encoder, cfg.decoder, seed=0)
+    model.eval()
+    model(Tensor(np.zeros((1, 3, H, H))))
+    return counter[0]
+
+
 class TestMacOracle:
-    def _counted_conv_macs(self, cfg: FullConfig, monkeypatch) -> int:
-        """Run a real forward pass with the convolution primitive
-        instrumented, counting multiply-accumulates position by position."""
-        real = layers_mod.conv2d
-        counter = [0]
-
-        def counting_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
-            out = real(x, w, b, stride=stride, padding=padding, groups=groups)
-            c_out, c_in_g, kh, kw = w.shape
-            _, _, h_out, w_out = out.shape
-            for _ in range(h_out):
-                for _ in range(w_out):
-                    for _ in range(c_out):
-                        counter[0] += c_in_g * kh * kw
-            return out
-
-        monkeypatch.setattr(layers_mod, "conv2d", counting_conv2d)
-        model = SegModel(cfg.encoder, cfg.decoder, seed=0)
-        model.eval()
-        x = Tensor(np.zeros((1, 3, cfg.encoder.height, cfg.encoder.width)))
-        model(x)
-        return counter[0]
-
-    def _report_conv_macs(self, cfg: FullConfig) -> int:
-        report = cost_report(cfg)
-        # every nonzero-MAC line except the attention projections/scores
-        return sum(m for path, _, m in report.entries if ".attn" not in path)
+    """The report's full MAC total, attention lines included, equals the
+    MACs the instrumented primitives count."""
 
     def test_desk_model(self, monkeypatch):
         cfg = desk()
-        assert self._counted_conv_macs(cfg, monkeypatch) == \
-            self._report_conv_macs(cfg)
+        assert counted_macs(cfg, monkeypatch) == cost_report(cfg).macs
 
     def test_tiny_model(self, monkeypatch):
         cfg = FullConfig(encoder=EncoderConfig(channels=(2, 3, 4, 5)),
                          decoder=DecoderConfig(num_blocks=1, heads=(1, 1, 1),
                                                head_channels=4, num_classes=2))
-        assert self._counted_conv_macs(cfg, monkeypatch) == \
-            self._report_conv_macs(cfg)
+        assert counted_macs(cfg, monkeypatch) == cost_report(cfg).macs
+
+    @pytest.mark.parametrize("variant", ["successive", "plain-cross",
+                                         "self-on-concat"])
+    @pytest.mark.parametrize("H", [64, 128, 256])
+    def test_attention_variants_and_sizes(self, variant, H, monkeypatch):
+        # from 128 x 128 on, every softmax spans more than one key
+        cfg = desk(attention_variant=variant, heads=(2, 2, 2))
+        assert counted_macs(cfg, monkeypatch, H) == cost_report(cfg, H, H).macs
 
     def test_doubling_resolution_quadruples_conv_macs(self):
         cfg = desk()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from scaseg import (BatchNorm2d, ConfigError, Conv2d, ConvBN, LayerNorm,
-                    MixFFN, MultiHeadAttention, NumericalError, RandomSource,
-                    ShapeError, Tensor, bilinear_resize, gradient_check)
+from scaseg import (BatchNorm2d, ConfigError, Conv2d, ConvBN, DecoderConfig,
+                    EncoderConfig, LayerNorm, MixFFN, MultiHeadAttention,
+                    NumericalError, RandomSource, SegModel, ShapeError, Tensor,
+                    TrainConfig, bilinear_resize, cross_entropy,
+                    gen_synthetic_dataset, gradient_check)
 from scaseg.layers import BN_EPS
 
 
@@ -374,3 +376,45 @@ class TestLayerGradients:
         err = gradient_check(
             lambda t: (bilinear_resize(t, (5, 4)) ** 2.0).sum(), x)
         assert err < 1e-4
+
+
+def _graph_nodes(t: Tensor) -> int:
+    """Recorded (non-leaf) nodes reachable from ``t``."""
+    seen, stack, count = set(), [t], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return count
+
+
+class TestNodeBudget:
+    """Graph nodes per call: Linear, the attention core and the depthwise
+    conv are one node each, and tokens need no layout nodes."""
+
+    def test_default_train_step(self):
+        cfg = TrainConfig()
+        enc, dec = EncoderConfig(), DecoderConfig()
+        model = SegModel(enc, dec, seed=0)
+        model.train()
+        batch = gen_synthetic_dataset(cfg.batch_size, enc.height, enc.width,
+                                      dec.num_classes, seed=0)
+        loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
+                             np.stack([s.mask for s in batch]))
+        assert _graph_nodes(loss) <= 254
+
+    def test_attention_call(self):
+        mha = MultiHeadAttention(3, 4, rng(0), heads=2)
+        g = np.random.default_rng(0)
+        kv = Tensor(g.normal(size=(2, 5, 3)), requires_grad=True)
+        q = Tensor(g.normal(size=(2, 4, 4)), requires_grad=True)
+        assert _graph_nodes(mha(kv, q)) <= 5
+
+    def test_mix_ffn_call(self):
+        ffn = MixFFN(3, rng(1))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 6, 3)),
+                   requires_grad=True)
+        assert _graph_nodes(ffn(x, (3, 2))) <= 4

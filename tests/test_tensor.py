@@ -3,7 +3,8 @@ import pytest
 
 from scaseg import (ShapeError, Tensor, UsageError, bilinear_resize, concat,
                     conv2d, gradient_check, log_softmax, matmul, softmax)
-from scaseg.tensor import normalize
+from scaseg.layers import map_from_tokens, tokens_from_map
+from scaseg.tensor import attention, depthwise_tokens, linear, normalize
 
 
 class TestMatmul:
@@ -172,6 +173,19 @@ def _op_cases(rng):
     # 1×1 convolutions: stride 1 and no padding take the direct GEMM path
     pw_w = Tensor(rng.normal(size=(2, 3, 1, 1)))
     pw_b = Tensor(rng.normal(size=2))
+    # one-node linear, attention and depthwise-on-tokens: 3-d token inputs,
+    # 2 heads over 3 queries and 5 keys, 1x1 and 3x2 grids
+    lin_x = Tensor(rng.normal(size=(2, 3, 4)))
+    lin_w = Tensor(rng.normal(size=(4, 5)))
+    lin_wc = Tensor(rng.normal(size=(5, 4, 1, 1)))
+    lin_b = Tensor(rng.normal(size=5))
+    att_q = Tensor(rng.normal(size=(2, 3, 4)))
+    att_k = Tensor(rng.normal(size=(2, 5, 4)))
+    att_v = Tensor(rng.normal(size=(2, 5, 4)))
+    att_g = Tensor(rng.normal(size=(2, 3, 4)))
+    tok_x1 = Tensor(rng.normal(size=(2, 1, 3)))
+    tok_x6 = Tensor(rng.normal(size=(2, 6, 3)))
+    tok_b = Tensor(rng.normal(size=3))
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -233,6 +247,42 @@ def _op_cases(rng):
          (2, 4, 4, 3), None),
         ("pointwise_strided", lambda x: (conv2d(x, pw_w, stride=2) ** 2.0).sum(),
          (2, 3, 5, 5), None),
+        ("linear", lambda x: (linear(x, lin_w, lin_b) ** 2.0).sum(), (2, 3, 4), None),
+        ("linear_no_bias", lambda x: (linear(x, lin_w) ** 2.0).sum(), (2, 3, 4), None),
+        ("linear_conv_form", lambda x: (linear(x, lin_wc, lin_b) ** 2.0).sum(),
+         (2, 3, 4), None),
+        ("linear_conv_form_no_bias", lambda x: (linear(x, lin_wc) ** 2.0).sum(),
+         (2, 3, 4), None),
+        ("linear_weight", lambda w: (linear(lin_x, w, lin_b) ** 2.0).sum(),
+         (4, 5), None),
+        ("linear_no_bias_weight", lambda w: (linear(lin_x, w) ** 2.0).sum(),
+         (4, 5), None),
+        ("linear_conv_form_weight", lambda w: (linear(lin_x, w, lin_b) ** 2.0).sum(),
+         (5, 4, 1, 1), None),
+        ("linear_conv_form_no_bias_weight", lambda w: (linear(lin_x, w) ** 2.0).sum(),
+         (5, 4, 1, 1), None),
+        ("linear_bias", lambda b: (linear(lin_x, lin_w, b) ** 2.0).sum(), (5,), None),
+        ("attention_q", lambda q: (attention(q, att_k, att_v, 2)[0] * att_g).sum(),
+         (2, 3, 4), None),
+        ("attention_k", lambda k: (attention(att_q, k, att_v, 2)[0] * att_g).sum(),
+         (2, 5, 4), None),
+        ("attention_v", lambda v: (attention(att_q, att_k, v, 2)[0] * att_g).sum(),
+         (2, 5, 4), None),
+        ("depthwise_tokens_1x1",
+         lambda x: (depthwise_tokens(x, (1, 1), dw_w, tok_b) ** 2.0).sum(),
+         (2, 1, 3), None),
+        ("depthwise_tokens_3x2",
+         lambda x: (depthwise_tokens(x, (3, 2), dw_w, tok_b) ** 2.0).sum(),
+         (2, 6, 3), None),
+        ("depthwise_tokens_1x1_weight",
+         lambda w: (depthwise_tokens(tok_x1, (1, 1), w, tok_b) ** 2.0).sum(),
+         (3, 1, 3, 3), None),
+        ("depthwise_tokens_3x2_weight",
+         lambda w: (depthwise_tokens(tok_x6, (3, 2), w, tok_b) ** 2.0).sum(),
+         (3, 1, 3, 3), None),
+        ("depthwise_tokens_bias",
+         lambda b: (depthwise_tokens(tok_x6, (3, 2), dw_w, b) ** 2.0).sum(),
+         (3,), None),
     ]
 
 
@@ -247,18 +297,102 @@ def test_every_op_passes_gradient_check(seed):
         assert err < 1e-4, f"{name} failed gradient check: {err}"
 
 
-def test_pointwise_conv_input_grad_keeps_input_layout():
-    # channels-last data seen as (B, C, H, W), as the mix-FFN's token maps
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 5, 4, 3)).transpose(0, 3, 1, 2),
-               requires_grad=True)
-    w = Tensor(rng.normal(size=(6, 3, 1, 1)), requires_grad=True)
-    out = conv2d(x, w)
-    g = rng.normal(size=out.shape)
-    gx = out._backward(g)[0]
-    assert gx.strides == x.data.strides
-    np.testing.assert_allclose(
-        gx, np.einsum("oc,bohw->bchw", w.data[:, :, 0, 0], g), rtol=1e-12)
+def _value_and_grads(fn, arrays, g):
+    """Output of ``fn`` on fresh leaves and their gradients under the output
+    weighting ``g``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * Tensor(g)).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+class TestOneNodePrimitives:
+    """Each fused node against the composed graph it replaces: the same
+    values and gradients to 1e-12."""
+
+    def test_linear_is_matmul_plus_bias(self):
+        rng = np.random.default_rng(0)
+        arrays = (rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)),
+                  rng.normal(size=3))
+        g = rng.normal(size=(2, 5, 3))
+        out, grads = _value_and_grads(linear, arrays, g)
+        ref, ref_grads = _value_and_grads(lambda x, w, b: matmul(x, w) + b,
+                                          arrays, g)
+        assert np.array_equal(out, ref)  # the same numpy operations
+        for a, r in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    def test_linear_conv_weight_is_pointwise_conv(self):
+        rng = np.random.default_rng(1)
+        arrays = (rng.normal(size=(2, 6, 4)), rng.normal(size=(3, 4, 1, 1)),
+                  rng.normal(size=3))
+        g = rng.normal(size=(2, 6, 3))
+        out, grads = _value_and_grads(linear, arrays, g)
+        ref, ref_grads = _value_and_grads(
+            lambda x, w, b: tokens_from_map(conv2d(map_from_tokens(x, (3, 2)), w, b)),
+            arrays, g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for a, r in zip(grads, ref_grads):
+            assert a.shape == r.shape
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    def test_attention_matches_composed_graph(self):
+        rng = np.random.default_rng(2)
+        heads, dk = 2, 3
+        arrays = (rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 5, 6)),
+                  rng.normal(size=(2, 5, 6)))
+        g = rng.normal(size=(2, 4, 6))
+
+        weights = {}
+
+        def composed(q, k, v):
+            def split(t):
+                B, n, _ = t.shape
+                return t.reshape(B, n, heads, dk).permute(0, 2, 1, 3)
+            att = softmax(matmul(split(q), split(k).permute(0, 1, 3, 2))
+                          * (1.0 / np.sqrt(dk)), axis=-1)
+            weights["composed"] = att.data
+            return matmul(att, split(v)).permute(0, 2, 1, 3).reshape(2, 4, 6)
+
+        def one_node(q, k, v):
+            out, weights["fused"] = attention(q, k, v, heads)
+            assert out._parents == (q, k, v)
+            return out
+
+        out, grads = _value_and_grads(one_node, arrays, g)
+        ref, ref_grads = _value_and_grads(composed, arrays, g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights["fused"], weights["composed"],
+                                   rtol=0, atol=1e-12)
+        for a, r in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 2), (4, 5)])
+    def test_depthwise_tokens_is_grouped_conv(self, hw):
+        h, w = hw
+        rng = np.random.default_rng(h * 10 + w)
+        arrays = (rng.normal(size=(2, h * w, 4)), rng.normal(size=(4, 1, 3, 3)),
+                  rng.normal(size=4))
+        g = rng.normal(size=(2, h * w, 4))
+        out, grads = _value_and_grads(
+            lambda x, wt, b: depthwise_tokens(x, (h, w), wt, b), arrays, g)
+        ref, ref_grads = _value_and_grads(
+            lambda x, wt, b: tokens_from_map(
+                conv2d(map_from_tokens(x, (h, w)), wt, b, padding=1, groups=4)),
+            arrays, g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for a, r in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 6, 4)))
+        with pytest.raises(ShapeError):
+            linear(x, Tensor(np.zeros((3, 5))))
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4, 4))), 2)
+        with pytest.raises(ShapeError):
+            depthwise_tokens(x, (2, 2), Tensor(np.zeros((4, 1, 3, 3))),
+                             Tensor(np.zeros(4)))
 
 
 class TestFiniteness:
