@@ -17,7 +17,7 @@ from .config import FullConfig, load_config
 from .costmodel import ablation_table, cost_report, variants_for_axis
 from .data import PALETTE, gen_synthetic_dataset
 from .decoder import SegModel
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, ShapeError, UsageError
 from .gradcheck import gradient_check
 from .serialization import load_checkpoint, load_tensor, save_tensor
 from .tensor import Tensor
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (UsageError, ShapeError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

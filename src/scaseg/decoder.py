@@ -219,6 +219,7 @@ class SegModel(Module):
         rng = RandomSource(seed)
         self.encoder = Encoder(enc_cfg, rng.spawn(1))
         self.decoder = Decoder(enc_cfg.channels, dec_cfg, rng.spawn(2))
+        self.pack_parameters()
 
     def __call__(self, image: Tensor) -> Tensor:
         return self.decoder(self.encoder(image))

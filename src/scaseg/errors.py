@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4. Everything else is a plain bug.
+The CLI maps these onto exit codes: ConfigError, UsageError, ShapeError -> 2,
+DataError -> 3, NumericalError -> 4. Everything else is a plain bug.
 """
 
 

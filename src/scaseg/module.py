@@ -3,9 +3,15 @@
 Modules hold Tensors (parameters) and sub-modules as attributes; parameter
 discovery walks attributes in definition order so checkpoint files are
 stable. ``train()``/``eval()`` toggles batch-norm behaviour.
+
+``pack_parameters()`` makes each parameter's ``data`` and ``grad`` views of
+two flat buffers, ``flat_data`` and ``flat_grad``; write them in place, as
+``load_state`` does, since rebinding detaches them from the buffers.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import DataError
 from .tensor import Tensor
@@ -19,12 +25,19 @@ class Module:
         for key, value in vars(self).items():
             yield from _walk(value, key, trainable=True)
 
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
+    def pack_parameters(self):
+        params = [p for _, p in self.named_parameters()]
+        self.flat_data = np.concatenate([p.data.reshape(-1) for p in params])
+        self.flat_grad = np.zeros(self.flat_data.size)
+        end = 0
+        for p in params:
+            n, shape = p.size, p.shape
+            p.data = self.flat_data[end:end + n].reshape(shape)
+            p.grad = self.flat_grad[end:end + n].reshape(shape)
+            end += n
 
     def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat_grad.fill(0.0)
 
     def train(self):
         self._set_mode(True)

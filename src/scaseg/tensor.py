@@ -78,7 +78,8 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        self.grad = None
+        if self.grad is not None:  # in place: a packed gradient stays a view
+            self.grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

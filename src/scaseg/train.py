@@ -52,62 +52,69 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # elements per update pass: its six arrays then stay in L2
+
+
+def _arena(arrays) -> np.ndarray:
+    """The flat buffer that ``arrays`` tile in order, as C-contiguous views
+    from its first element to its last."""
+    base = getattr(arrays[0], "base", None) if arrays else None
+    starts = np.cumsum([0] + [np.size(a) for a in arrays])
+    if not (isinstance(base, np.ndarray) and base.shape == (starts[-1],) and all(
+            getattr(a, "base", None) is base and a.flags.c_contiguous
+            and a.ctypes.data == base[start:].ctypes.data
+            for a, start in zip(arrays, starts))):
+        raise UsageError("AdamW needs parameters packed by "
+                         "Module.pack_parameters, in named_parameters() order")
+    return base
 
 
 class AdamW:
     """Adam with decoupled weight decay (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    At construction every parameter is copied into one flat float64 buffer
-    and its ``data`` becomes a C-contiguous view of it, so a step is one
-    vectorized update over all parameters. Write parameters in place
-    (``p.data[...] = ...``, as ``Module.load_state`` does); rebinding
-    ``p.data`` detaches it from the optimizer.
+    The parameters must tile one arena in order, as
+    ``Module.pack_parameters`` leaves them: a step updates the model's
+    ``flat_data`` from its ``flat_grad`` in place, one vectorized pass per
+    ``ADAM_BLOCK`` elements, and leaves the gradients as they were.
     """
 
     def __init__(self, named_params, weight_decay: float = 0.01):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
         self.t = 0
-        sizes = [p.size for _, p in self.named_params]
-        self.slices = [slice(end - n, end)
-                       for end, n in zip(np.cumsum(sizes, dtype=int), sizes)]
-        total = sum(sizes)
-        self.flat = np.empty(total)
-        for (_, p), sl in zip(self.named_params, self.slices):
-            self.flat[sl] = p.data.reshape(-1)
-            p.data = self.flat[sl].reshape(p.shape)
-        self.m = np.zeros(total)
-        self.v = np.zeros(total)
-        self.grad = np.empty(total)
-        self.scratch = np.empty(total)
+        self.flat = _arena([p.data for _, p in self.named_params])
+        self.grad = _arena([p.grad for _, p in self.named_params])
+        self.m = np.zeros(self.flat.size)
+        self.v = np.zeros(self.flat.size)
+        self.scratch = np.empty((2, min(ADAM_BLOCK, self.flat.size)))
 
     def step(self, lr: float):
         """One update. A non-finite gradient raises ``NumericalError``
         naming the first such parameter and leaves every parameter as it
         was."""
-        g, s = self.grad, self.scratch
-        for (_, p), sl in zip(self.named_params, self.slices):
-            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
-        if not np.isfinite(g).all():
-            name = next(n for (n, _), sl in zip(self.named_params, self.slices)
-                        if not np.isfinite(g[sl]).all())
+        if not np.isfinite(self.grad).all():
+            name = next(n for n, p in self.named_params
+                        if not np.isfinite(p.grad).all())
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        # in place, in a per-tensor update's element order (bit-identical):
-        # p -= (lr*wd)*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-        p, m, v = self.flat, self.m, self.v
-        if self.weight_decay:
-            p -= np.multiply(p, lr * self.weight_decay, out=s)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1 - ADAM_BETA1, out=s)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=s), g, out=s)
-        np.sqrt(np.divide(v, bc2, out=g), out=g)
-        g += ADAM_EPS
-        p -= np.divide(np.multiply(np.divide(m, bc1, out=s), lr, out=s), g, out=s)
+        for lo in range(0, self.flat.size, ADAM_BLOCK):
+            sl = slice(lo, lo + ADAM_BLOCK)
+            p, m, v, g = self.flat[sl], self.m[sl], self.v[sl], self.grad[sl]
+            s, d = self.scratch[:, :p.size]
+            # in place, in a per-tensor update's element order (bit-identical):
+            # p -= (lr*wd)*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            if self.weight_decay:
+                p -= np.multiply(p, lr * self.weight_decay, out=s)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=s)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=s), g, out=s)
+            np.sqrt(np.divide(v, bc2, out=d), out=d)
+            d += ADAM_EPS
+            p -= np.divide(np.multiply(np.divide(m, bc1, out=s), lr, out=s), d, out=s)
 
 
 def _iou_counts(pred: np.ndarray, true: np.ndarray, K: int):

@@ -39,6 +39,14 @@ class TestDescribe:
     def test_bad_value_exits_2(self, capsys):
         assert main(["describe", "--set", "num_blocks=many"]) == 2
 
+    @pytest.mark.parametrize("error", [scaseg.UsageError, scaseg.ShapeError])
+    def test_usage_and_shape_errors_exit_2(self, monkeypatch, capsys, error):
+        def fail(_cfg):
+            raise error("probe")
+        monkeypatch.setattr(scaseg.cli, "cost_report", fail)
+        assert main(["describe"]) == 2
+        assert capsys.readouterr().err == "usage error: probe\n"
+
     def test_config_file_is_applied(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment line\nnum_blocks = 2\nhead_channels = 16\n")

@@ -159,7 +159,7 @@ class TestMixFFN:
 
     def test_zero_weights_give_zero(self):
         ffn = MixFFN(3, rng(1))
-        for p in ffn.parameters():
+        for _, p in ffn.named_parameters():
             p.data[...] = 0.0
         out = ffn(Tensor(np.random.default_rng(1).normal(size=(4, 3))), (2, 2))
         assert np.array_equal(out.data, np.zeros((4, 3)))

@@ -105,7 +105,7 @@ class TestCrossEntropy:
             np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
             assert np.allclose(logits.grad, (p - onehot) / (B * H * W), atol=1e-12)
             # an upstream factor scales the gradient
-            unscaled = logits.grad
+            unscaled = logits.grad.copy()  # zero_grad zeroes in place
             logits.zero_grad()
             (cross_entropy(logits, mask) * scale).backward()
             np.testing.assert_allclose(logits.grad, scale * unscaled, rtol=1e-14)
@@ -150,37 +150,47 @@ class TestPolyLr:
             poly_lr(-1, cfg)
 
 
+def packed(**arrays):
+    """Named parameters holding ``arrays``, packed as a model packs its own;
+    their gradients start at zero."""
+    module = Module()
+    for name, a in arrays.items():
+        setattr(module, name, Tensor(np.asarray(a, dtype=float), requires_grad=True))
+    module.pack_parameters()
+    return list(module.named_parameters())
+
+
 class TestAdamW:
     def test_zero_gradient_without_decay_leaves_param(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.zeros(2)
+        [(_, p)] = packed(p=[1.0, -2.0])
+        p.grad[...] = 0.0
         opt = AdamW([("p", p)], weight_decay=0.0)
         opt.step(0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_size_is_about_lr_times_sign(self):
-        p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-        p.grad = np.array([3.0, -0.5])
+        [(_, p)] = packed(p=[0.0, 0.0])
+        p.grad[...] = [3.0, -0.5]
         AdamW([("p", p)], weight_decay=0.0).step(0.01)
         # after bias correction the first update is lr * g/(|g| + eps)
         assert np.allclose(p.data, [-0.01, 0.01], atol=1e-6)
 
     def test_decay_alone_is_geometric(self):
-        p = Tensor(np.array([4.0]), requires_grad=True)
+        [(_, p)] = packed(p=[4.0])
         opt = AdamW([("p", p)], weight_decay=0.5)
         for _ in range(3):
-            p.grad = np.zeros(1)
+            p.grad[...] = 0.0
             opt.step(0.1)
         assert abs(p.data[0] - 4.0 * (1 - 0.1 * 0.5) ** 3) < 1e-12
 
     def test_constant_gradient_two_steps_match_hand_rollout(self):
         g = np.array([2.0])
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        [(_, p)] = packed(p=[1.0])
         opt = AdamW([("p", p)], weight_decay=0.0)
         x = 1.0
         m = v = 0.0
         for t in (1, 2):
-            p.grad = g.copy()
+            p.grad[...] = g
             opt.step(0.01)
             m = 0.9 * m + 0.1 * g[0]
             v = 0.999 * v + 0.001 * g[0] ** 2
@@ -190,21 +200,29 @@ class TestAdamW:
 
     def test_non_finite_gradient_raises(self):
         from scaseg import NumericalError
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([np.nan])
+        [(_, p)] = packed(p=[1.0])
+        p.grad[...] = np.nan
         with pytest.raises(NumericalError, match="p"):
             AdamW([("p", p)]).step(0.1)
 
     @staticmethod
     def _three_params():
         g = np.random.default_rng(7)
-        return [(name, Tensor(g.normal(size=shape), requires_grad=True))
-                for name, shape in (("a", (3, 4)), ("b", (5,)),
-                                    ("c", (2, 1, 3, 3)))]
+        return packed(**{name: g.normal(size=shape) for name, shape in
+                         (("a", (3, 4)), ("b", (5,)), ("c", (2, 1, 3, 3)))})
 
-    def test_matches_per_tensor_reference_bit_for_bit(self):
+    @staticmethod
+    def _block_params():
+        # more than one block: "b" straddles the first block edge and the
+        # final block is short
+        from scaseg.train import ADAM_BLOCK
+        g = np.random.default_rng(9)
+        return packed(a=g.normal(size=ADAM_BLOCK - 5), b=g.normal(size=(3, 7)),
+                      c=g.normal(size=ADAM_BLOCK // 2 + 3))
+
+    @staticmethod
+    def _assert_matches_per_tensor_reference(params):
         from scaseg.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        params = self._three_params()
         ref = [p.data.copy() for _, p in params]
         m = [np.zeros_like(r) for r in ref]
         v = [np.zeros_like(r) for r in ref]
@@ -215,7 +233,7 @@ class TestAdamW:
             grads = [g.normal(size=r.shape) for r in ref]
             grads[1] = None  # "b" got no gradient this step
             for (_, p), grad in zip(params, grads):
-                p.grad = grad
+                p.grad[...] = 0.0 if grad is None else grad
             opt.step(lr)
             bc1 = 1.0 - ADAM_BETA1 ** t
             bc2 = 1.0 - ADAM_BETA2 ** t
@@ -228,18 +246,49 @@ class TestAdamW:
             for r, (_, p) in zip(ref, params):
                 assert np.array_equal(p.data, r)
 
-    def test_non_finite_gradient_leaves_every_parameter_unchanged(self):
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        self._assert_matches_per_tensor_reference(self._three_params())
+
+    def test_matches_per_tensor_reference_across_blocks(self):
+        self._assert_matches_per_tensor_reference(self._block_params())
+
+    @staticmethod
+    def _assert_nan_leaves_every_parameter_unchanged(params, bad, index):
         from scaseg import NumericalError
-        params = self._three_params()
         opt = AdamW(params)
         for _, p in params:
-            p.grad = np.ones(p.shape)
-        params[1][1].grad[2] = np.nan
+            p.grad[...] = 1.0
+        dict(params)[bad].grad.reshape(-1)[index] = np.nan
         before = [p.data.copy() for _, p in params]
-        with pytest.raises(NumericalError, match="'b'"):
+        with pytest.raises(NumericalError, match=f"'{bad}'"):
             opt.step(0.1)
         for b, (_, p) in zip(before, params):
             assert np.array_equal(p.data, b)
+
+    def test_non_finite_gradient_leaves_every_parameter_unchanged(self):
+        self._assert_nan_leaves_every_parameter_unchanged(
+            self._three_params(), "b", 2)
+
+    def test_non_finite_gradient_in_last_block(self):
+        self._assert_nan_leaves_every_parameter_unchanged(
+            self._block_params(), "c", -1)
+
+    def test_step_keeps_the_gradient(self):
+        params = self._block_params()
+        for i, (_, p) in enumerate(params):
+            p.grad[...] = i + 0.5
+        AdamW(params).step(0.1)
+        for i, (_, p) in enumerate(params):
+            assert np.all(p.grad == i + 0.5)
+
+    def test_unpacked_or_reordered_parameters_are_refused(self):
+        loose = [("p", Tensor(np.zeros(2), requires_grad=True))]
+        with pytest.raises(UsageError, match="pack_parameters"):
+            AdamW(loose)
+        with pytest.raises(UsageError, match="pack_parameters"):
+            AdamW(self._three_params()[::-1])
+        with pytest.raises(UsageError, match="pack_parameters"):
+            AdamW(self._three_params()[:2])
 
     def test_step_after_load_state_starts_from_loaded_values(self):
         model, _, _, _ = tiny_setup(seed=0)
@@ -249,13 +298,32 @@ class TestAdamW:
         ref_opt = AdamW(loaded.named_parameters())
         for (_, p), (_, q) in zip(model.named_parameters(),
                                   loaded.named_parameters()):
-            p.grad = np.full(p.shape, 0.5)
-            q.grad = np.full(q.shape, 0.5)
+            p.grad[...] = 0.5
+            q.grad[...] = 0.5
         opt.step(0.1)
         ref_opt.step(0.1)
         for (_, p), (_, q) in zip(model.named_parameters(),
                                   loaded.named_parameters()):
             assert np.array_equal(p.data, q.data)
+
+    def test_gradient_check_keeps_parameter_packed(self):
+        # a finite-difference probe must not detach the probed parameter
+        # from the model's buffers, so AdamW still updates it
+        from scaseg import gradient_check
+        probed, train_set, _, _ = tiny_setup()
+        fresh, _, _, _ = tiny_setup()
+        image, mask = Tensor(train_set[0].image[None]), train_set[0].mask[None]
+        name, param = list(probed.named_parameters())[5]
+        optimizers = [AdamW(m.named_parameters()) for m in (probed, fresh)]
+        gradient_check(lambda _p: cross_entropy(probed(image), mask), param,
+                       max_samples=2)
+        assert np.shares_memory(param.grad, probed.flat_grad)
+        for model, opt in zip((probed, fresh), optimizers):
+            model.zero_grad()
+            cross_entropy(model(image), mask).backward()
+            opt.step(0.1)
+        assert np.array_equal(param.data, dict(fresh.named_parameters())[name].data)
+        assert np.array_equal(probed.flat_data, fresh.flat_data)
 
 
 class TestMiou:
