@@ -24,14 +24,16 @@ class EncoderConfig:
     def validate(self):
         if len(self.channels) != 4:
             raise ConfigError("encoder needs exactly 4 stage channel counts")
+        if min(self.channels) < 1:
+            raise ConfigError(f"stage channels must be >= 1: {self.channels}")
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"stage channels must strictly increase: {self.channels}")
         if self.blocks_per_stage < 1:
             raise ConfigError("blocks_per_stage must be >= 1")
         for dim, name in ((self.height, "height"), (self.width, "width")):
-            if dim % 64:
+            if dim < 64 or dim % 64:
                 raise ConfigError(
-                    f"image {name} {dim} must be divisible by 64")
+                    f"image {name} {dim} must be a positive multiple of 64")
         return self
 
 
@@ -43,14 +45,14 @@ class DecoderConfig:
     scm_variant: str = "eq6"
     head_channels: int = 32
     num_classes: int = 4
-    ase_embed_dim: int | None = None
-    attention_bias: bool = True
 
     def validate(self):
         if self.num_blocks < 1:
             raise ConfigError("num_blocks must be >= 1")
         if len(self.heads) != 3:
             raise ConfigError("heads needs one entry per level (3 values)")
+        if min(self.heads) < 1 or self.head_channels < 1:
+            raise ConfigError("heads and head_channels must be >= 1")
         if self.attention_variant not in ATTENTION_VARIANTS:
             raise ConfigError(
                 f"attention_variant must be one of {ATTENTION_VARIANTS}, "
@@ -80,6 +82,11 @@ class TrainConfig:
                      "train_samples", "val_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not 0.0 < self.base_lr < float("inf"):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        for name in ("weight_decay", "poly_power"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and >= 0")
         return self
 
 
@@ -97,25 +104,7 @@ class FullConfig:
 
 
 def _int_list(raw: str) -> tuple:
-    try:
-        return tuple(int(v.strip()) for v in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}")
-
-
-def _boolean(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _optional_int(raw: str):
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return int(raw)
+    return tuple(int(v) for v in raw.split(","))
 
 
 # key -> (section, field, parser)
@@ -130,8 +119,6 @@ _SCHEMA = {
     "scm_variant": ("decoder", "scm_variant", str),
     "head_channels": ("decoder", "head_channels", int),
     "num_classes": ("decoder", "num_classes", int),
-    "ase_embed_dim": ("decoder", "ase_embed_dim", _optional_int),
-    "attention_bias": ("decoder", "attention_bias", _boolean),
     "iterations": ("train", "iterations", int),
     "batch_size": ("train", "batch_size", int),
     "base_lr": ("train", "base_lr", float),
@@ -175,8 +162,6 @@ def build_config(values: dict, overrides: dict | None = None) -> FullConfig:
         section, name, parser = _SCHEMA[key]
         try:
             parsed = parser(raw)
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {raw!r}")
         target = getattr(cfg, section)
@@ -187,6 +172,10 @@ def build_config(values: dict, overrides: dict | None = None) -> FullConfig:
 def load_config(path=None, overrides: dict | None = None) -> FullConfig:
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        values = parse_config_text(text)
     return build_config(values, overrides)

@@ -2,8 +2,9 @@
 
 Counting rules: a conv contributes C_in/groups * C_out * k^2 weights plus
 C_out biases and C_in/groups * C_out * k^2 * h_out * w_out MACs; a linear
-d_in * d_out (+ d_out) over its token count; a norm contributes 2C
-parameters and zero MACs (running stats are buffers, not parameters).
+d_in * d_out weights plus d_out biases and d_in * d_out MACs per token; a
+norm contributes 2C parameters and zero MACs (running stats are buffers,
+not parameters).
 Softmax, activations, and resampling are listed as zero-MAC lines so the
 breakdown still names every stage. MAC totals follow the vision
 literature's convention of reporting one MAC as one FLOP.
@@ -71,9 +72,8 @@ def _norm(report, path, channels):
     report.add(path, 2 * channels, 0)
 
 
-def _linear(report, path, d_in, d_out, tokens, bias=True):
-    params = d_in * d_out + (d_out if bias else 0)
-    report.add(path, params, d_in * d_out * tokens)
+def _linear(report, path, d_in, d_out, tokens):
+    report.add(path, d_in * d_out + d_out, d_in * d_out * tokens)
 
 
 def _conv_bn(report, path, c_in, c_out, k, h, w):
@@ -81,14 +81,14 @@ def _conv_bn(report, path, c_in, c_out, k, h, w):
     _norm(report, f"{path}.bn", c_out)
 
 
-def _attention(report, path, kv_dim, q_dim, embed, n_q, n_kv, bias=True):
-    _linear(report, f"{path}.w_q", q_dim, embed, n_q, bias)
-    _linear(report, f"{path}.w_k", kv_dim, embed, n_kv, bias)
-    _linear(report, f"{path}.w_v", kv_dim, embed, n_kv, bias)
-    report.add(f"{path}.scores", 0, n_q * n_kv * embed)
+def _attention(report, path, kv_dim, q_dim, n_q, n_kv):
+    _linear(report, f"{path}.w_q", q_dim, q_dim, n_q)
+    _linear(report, f"{path}.w_k", kv_dim, q_dim, n_kv)
+    _linear(report, f"{path}.w_v", kv_dim, q_dim, n_kv)
+    report.add(f"{path}.scores", 0, n_q * n_kv * q_dim)
     report.add(f"{path}.softmax", 0, 0)
-    report.add(f"{path}.values", 0, n_q * n_kv * embed)
-    _linear(report, f"{path}.w_o", embed, q_dim, n_q, bias)
+    report.add(f"{path}.values", 0, n_q * n_kv * q_dim)
+    _linear(report, f"{path}.w_o", q_dim, q_dim, n_q)
 
 
 def _mix_ffn(report, path, channels, h, w):
@@ -99,11 +99,11 @@ def _mix_ffn(report, path, channels, h, w):
     _conv(report, f"{path}.fc2", hidden, channels, 1, h, w)
 
 
-def _sca_stage(report, path, kv_dim, q_dim, embed, heads, h, w, bias=True):
+def _sca_stage(report, path, kv_dim, q_dim, h, w):
     n = h * w
     _norm(report, f"{path}.ln_kv", kv_dim)
     _norm(report, f"{path}.ln_q", q_dim)
-    _attention(report, f"{path}.attn", kv_dim, q_dim, embed, n, n, bias)
+    _attention(report, f"{path}.attn", kv_dim, q_dim, n, n)
     _norm(report, f"{path}.ln_ffn", q_dim)
     _mix_ffn(report, f"{path}.ffn", q_dim, h, w)
 
@@ -127,18 +127,13 @@ def _decoder_costs(report, channels, cfg: DecoderConfig, H, W):
 
     if cfg.attention_variant == "self-on-concat":
         total = sum(channels)
-        embed = cfg.ase_embed_dim or total
         for l in range(cfg.num_blocks):
-            _sca_stage(report, f"decoder.ase.blocks.{l}", total, total,
-                       embed, cfg.heads[0], gh, gw, cfg.attention_bias)
+            _sca_stage(report, f"decoder.ase.blocks.{l}", total, total, gh, gw)
     else:
         for l in range(cfg.num_blocks):
             for t in range(3):
-                kv_dim, q_dim = channels[t], channels[t + 1]
-                embed = cfg.ase_embed_dim or q_dim
-                _sca_stage(report, f"decoder.ase.blocks.{l}.{t}", kv_dim,
-                           q_dim, embed, cfg.heads[t], gh, gw,
-                           cfg.attention_bias)
+                _sca_stage(report, f"decoder.ase.blocks.{l}.{t}", channels[t],
+                           channels[t + 1], gh, gw)
 
     for j in range(3):
         c = channels[j + 1]
@@ -159,18 +154,17 @@ def _decoder_costs(report, channels, cfg: DecoderConfig, H, W):
     report.add("decoder.head.upsample", 0, 0)
 
 
-def cost_report(cfg: FullConfig, H: int | None = None, W: int | None = None,
-                include_encoder: bool = True) -> CostReport:
+def cost_report(cfg: FullConfig, H: int | None = None,
+                W: int | None = None) -> CostReport:
     """Full analytic cost breakdown at resolution (H, W)."""
     H = cfg.encoder.height if H is None else H
     W = cfg.encoder.width if W is None else W
-    if H % 64 or W % 64:
-        raise ConfigError(f"resolution {H}x{W} must be divisible by 64")
+    if min(H, W) < 64 or H % 64 or W % 64:
+        raise ConfigError(f"resolution {H}x{W} must be positive multiples of 64")
     cfg.encoder.validate()
     cfg.decoder.validate()
     report = CostReport(H, W)
-    if include_encoder:
-        _encoder_costs(report, cfg.encoder, H, W)
+    _encoder_costs(report, cfg.encoder, H, W)
     _decoder_costs(report, cfg.encoder.channels, cfg.decoder, H, W)
     return report
 

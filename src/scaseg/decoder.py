@@ -48,14 +48,11 @@ class ScaStage(Module):
     """
 
     def __init__(self, kv_dim: int, q_dim: int, rng: RandomSource,
-                 heads: int = 1, embed_dim: int | None = None,
-                 bias: bool = True):
+                 heads: int = 1):
         super().__init__()
         self.ln_kv = LayerNorm(kv_dim)
         self.ln_q = LayerNorm(q_dim)
-        self.attn = MultiHeadAttention(kv_dim, q_dim, rng.spawn(1),
-                                       heads=heads, embed_dim=embed_dim,
-                                       bias=bias)
+        self.attn = MultiHeadAttention(kv_dim, q_dim, rng.spawn(1), heads=heads)
         self.ln_ffn = LayerNorm(q_dim)
         self.ffn = MixFFN(q_dim, rng.spawn(2))
 
@@ -82,8 +79,7 @@ class AggregatedSemanticsExtractor(Module):
         self.variant = cfg.attention_variant
         self.blocks = [
             [ScaStage(channels[t], channels[t + 1], rng.spawn(100 * l + t),
-                      heads=cfg.heads[t], embed_dim=cfg.ase_embed_dim,
-                      bias=cfg.attention_bias)
+                      heads=cfg.heads[t])
              for t in range(3)]
             for l in range(cfg.num_blocks)
         ]
@@ -112,9 +108,7 @@ class SelfOnConcatExtractor(Module):
         self.channels = tuple(channels)
         total = sum(channels)
         self.blocks = [
-            ScaStage(total, total, rng.spawn(100 * l),
-                     heads=cfg.heads[0], embed_dim=cfg.ase_embed_dim,
-                     bias=cfg.attention_bias)
+            ScaStage(total, total, rng.spawn(100 * l), heads=cfg.heads[0])
             for l in range(cfg.num_blocks)
         ]
 

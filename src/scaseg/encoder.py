@@ -39,10 +39,10 @@ class Encoder(Module):
         for i, c in enumerate(cfg.channels):
             stride = 4 if i == 0 else 2
             blocks = [ConvBN(c_prev, c, rng.spawn(10 * i), k=3,
-                             stride=stride, padding=1, relu=True)]
+                             stride=stride, relu=True)]
             for b in range(cfg.blocks_per_stage):
                 blocks.append(ConvBN(c, c, rng.spawn(10 * i + b + 1), k=3,
-                                     stride=1, padding=1, relu=True))
+                                     relu=True))
             stages.append(blocks)
             c_prev = c
         self.stages = stages

@@ -25,11 +25,11 @@ BN_MOMENTUM = 0.1
 class Linear(Module):
     """Affine map on the last axis; truncated-normal init, std 0.02."""
 
-    def __init__(self, d_in: int, d_out: int, rng: RandomSource, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: RandomSource):
         super().__init__()
         self.weight = Tensor(rng.truncated_normal((d_in, d_out), std=0.02),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -86,17 +86,17 @@ class BatchNorm2d(Module):
 
 
 class Conv2d(Module):
-    """Conv layer with Kaiming fan-out init."""
+    """Conv layer with Kaiming fan-out init, padded by ``k // 2``."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: RandomSource,
-                 stride: int = 1, padding: int = 0, groups: int = 1,
+                 stride: int = 1, groups: int = 1,
                  init_std: float | None = None):
         super().__init__()
         if c_in % groups or c_out % groups:
             raise ConfigError(
                 f"groups={groups} must divide channels {c_in}->{c_out}")
         self.stride = stride
-        self.padding = padding
+        self.padding = k // 2
         self.groups = groups
         if init_std is None:
             fan_out = c_out * k * k // groups
@@ -116,9 +116,9 @@ class ConvBN(Module):
     """1x1 (or kxk) convolution followed by batch normalization."""
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, k: int = 1,
-                 stride: int = 1, padding: int = 0, relu: bool = False):
+                 stride: int = 1, relu: bool = False):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride, padding=padding)
+        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride)
         self.bn = BatchNorm2d(c_out)
         self.relu = relu
 
@@ -131,25 +131,23 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention over token tensors.
 
     The first forward argument supplies keys and values, the second the
-    queries; output channel count always equals the query channel count so
-    the caller's residual connection type-checks. ``embed_dim`` defaults to
-    the query width and may be lowered independently.
+    queries. All four projections are ``q_dim`` wide with a bias, so the
+    output has the query channel count and the caller's residual connection
+    type-checks.
     """
 
     def __init__(self, kv_dim: int, q_dim: int, rng: RandomSource,
-                 heads: int = 1, embed_dim: int | None = None,
-                 bias: bool = True):
+                 heads: int = 1):
         super().__init__()
-        d = q_dim if embed_dim is None else embed_dim
-        if d % heads != 0:
-            raise ConfigError(f"embed dim {d} not divisible by {heads} heads")
+        if q_dim % heads != 0:
+            raise ConfigError(f"query dim {q_dim} not divisible by {heads} heads")
         self.kv_dim = kv_dim
         self.q_dim = q_dim
         self.heads = heads
-        self.w_q = Linear(q_dim, d, rng.spawn(1), bias=bias)
-        self.w_k = Linear(kv_dim, d, rng.spawn(2), bias=bias)
-        self.w_v = Linear(kv_dim, d, rng.spawn(3), bias=bias)
-        self.w_o = Linear(d, q_dim, rng.spawn(4), bias=bias)
+        self.w_q = Linear(q_dim, q_dim, rng.spawn(1))
+        self.w_k = Linear(kv_dim, q_dim, rng.spawn(2))
+        self.w_v = Linear(kv_dim, q_dim, rng.spawn(3))
+        self.w_o = Linear(q_dim, q_dim, rng.spawn(4))
         self.last_attention = None  # latest attention weights, (B, h, n_q, n_kv)
 
     def __call__(self, kv_src: Tensor, q_src: Tensor) -> Tensor:
@@ -173,7 +171,7 @@ class MixFFN(Module):
         self.channels = channels
         self.hidden = hidden
         self.fc1 = Conv2d(channels, hidden, 1, rng.spawn(1))
-        self.dw = Conv2d(hidden, hidden, 3, rng.spawn(2), padding=1, groups=hidden)
+        self.dw = Conv2d(hidden, hidden, 3, rng.spawn(2), groups=hidden)
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
     def __call__(self, x: Tensor, spatial) -> Tensor:

@@ -81,8 +81,15 @@ def save_tensor(path, t: Tensor) -> None:
         write_tensor(fh, t)
 
 
+def _open_for_read(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {os.fspath(path)!r}: {exc.strerror}") from None
+
+
 def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
+    with _open_for_read(path) as fh:
         return read_tensor(fh)
 
 
@@ -110,7 +117,7 @@ def save_checkpoint(path, named_tensors) -> None:
 
 
 def load_checkpoint(path) -> list[tuple[str, Tensor]]:
-    with open(path, "rb") as fh:
+    with _open_for_read(path) as fh:
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint header"))
         names = []
         for _ in range(count):

@@ -286,8 +286,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ W (+ b)`` over the last axis as one node. ``w`` is ``(d_in,
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b`` over the last axis as one node. ``w`` is ``(d_in,
     d_out)`` or a 1×1 conv weight ``(d_out, d_in, 1, 1)``, read through its
     transposed 2-D view; its gradient keeps ``w``'s shape."""
     wm = w.data if w.ndim == 2 else w.data.reshape(w.shape[0], -1).T
@@ -295,16 +295,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear expects last dim {d_in}, got {x.shape}")
     out = np.matmul(x.data, wm)
-    if b is not None:
-        out += b.data
+    out += b.data
 
     def backward(g):
         g2, x2 = g.reshape(-1, d_out), x.data.reshape(-1, d_in)
         gw = x2.T @ g2 if w.ndim == 2 else (g2.T @ x2).reshape(w.shape)
-        grads = (np.matmul(g, wm.T), gw)
-        return grads if b is None else grads + (g2.sum(axis=0),)
+        return np.matmul(g, wm.T), gw, g2.sum(axis=0)
 
-    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), backward)
+    return Tensor._from_op(out, (x, w, b), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):

@@ -163,10 +163,8 @@ def test_criterion_05_attention_variant_cost_ordering():
 
 
 def test_criterion_06_decoder_cost_affine_in_depth():
-    reports = [cost_report(FullConfig(decoder=DecoderConfig(num_blocks=l)),
-                           include_encoder=False) for l in range(1, 6)]
-    p = [r.params for r in reports]
-    m = [r.macs for r in reports]
+    p, m = zip(*(cost_report(FullConfig(decoder=DecoderConfig(num_blocks=l)))
+                 .subtotal("decoder.") for l in range(1, 6)))
     dp = {b - a for a, b in zip(p, p[1:])}
     dm = {b - a for a, b in zip(m, m[1:])}
     check(6, "decoder params and MACs are exactly affine in block count",

@@ -47,6 +47,16 @@ class TestDescribe:
         assert main(["describe"]) == 2
         assert capsys.readouterr().err == "usage error: probe\n"
 
+    @pytest.mark.parametrize("setting", [
+        "image_height=0", "image_height=-64", "image_width=-128",
+        "encoder_channels=0,1,2,3", "head_channels=0", "heads=0,1,1",
+        "base_lr=nan", "base_lr=inf", "base_lr=0", "base_lr=-0.001",
+        "weight_decay=-0.01", "weight_decay=nan", "poly_power=-1",
+        "poly_power=inf"])
+    def test_out_of_range_value_exits_2(self, capsys, setting):
+        assert main(["describe", "--set", setting]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_config_file_is_applied(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment line\nnum_blocks = 2\nhead_channels = 16\n")
@@ -132,6 +142,26 @@ class TestForward:
         assert main(["forward", str(inp), "--out", str(tmp_path),
                      "--checkpoint", str(ckpt)]) == 3
         assert "lacks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,code", [
+    ("missing-config", 2), ("non-utf8-config", 2),
+    ("missing-input", 3), ("missing-checkpoint", 3)])
+def test_unreadable_file_exits_with_its_code(tmp_path, capsys, case, code):
+    image = tmp_path / "image.tsr"
+    save_tensor(image, Tensor(np.zeros((3, 64, 64))))
+    bad_cfg = tmp_path / "latin1.cfg"
+    bad_cfg.write_bytes("# caf\xe9\nnum_blocks = 1\n".encode("latin-1"))
+    missing = str(tmp_path / "missing")
+    args = {
+        "missing-config": ["describe", "--config", missing],
+        "non-utf8-config": ["describe", "--config", str(bad_cfg)],
+        "missing-input": ["forward", missing, "--out", str(tmp_path)] + TINY,
+        "missing-checkpoint": ["forward", str(image), "--out", str(tmp_path),
+                               "--checkpoint", missing] + TINY,
+    }[case]
+    assert main(args) == code
+    assert "cannot" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -63,7 +63,7 @@ class TestSingleLayerFormulas:
     def test_attention_macs(self):
         from scaseg.costmodel import _attention
         report = CostReport(1, 1)
-        _attention(report, "a", 8, 16, 16, 4, 6)
+        _attention(report, "a", 8, 16, 4, 6)
         proj = 16 * 16 * 4 + 8 * 16 * 6 + 8 * 16 * 6 + 16 * 16 * 4
         assert report.macs == proj + 2 * 4 * 6 * 16
         assert report.params == (16 * 16 + 16) * 2 + (8 * 16 + 16) * 2
@@ -77,12 +77,11 @@ CONFIGS = [
     desk(attention_variant="self-on-concat"),
     desk(scm_variant="eq7"),
     desk(head_channels=48, num_classes=7),
-    desk(ase_embed_dim=24),
-    desk(attention_bias=False),
+    desk(heads=(1, 2, 4)),
+    desk(attention_variant="self-on-concat", heads=(4, 1, 1)),
     FullConfig(encoder=EncoderConfig(channels=(4, 8, 12, 16),
                                      blocks_per_stage=2),
-               decoder=DecoderConfig(num_blocks=2, heads=(2, 2, 2),
-                                     ase_embed_dim=16)),
+               decoder=DecoderConfig(num_blocks=2, heads=(2, 2, 2))),
 ]
 
 
@@ -132,7 +131,7 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
                     counter[0] += c_in_g * kh * kw
         return out
 
-    def linear(x, w, b=None):
+    def linear(x, w, b):
         out = real_linear(x, w, b)
         for _ in range(out.size // out.shape[-1]):  # tokens
             for _ in range(out.shape[-1]):
@@ -237,21 +236,20 @@ class TestAttentionVariantOrdering:
 
 class TestAffineInDepth:
     def test_decoder_costs_have_constant_per_block_deltas(self):
-        reports = [cost_report(desk(num_blocks=l), include_encoder=False)
-                   for l in range(1, 6)]
-        p = [r.params for r in reports]
-        m = [r.macs for r in reports]
+        p, m = zip(*(cost_report(desk(num_blocks=l)).subtotal("decoder.")
+                     for l in range(1, 6)))
         dp = {b - a for a, b in zip(p, p[1:])}
         dm = {b - a for a, b in zip(m, m[1:])}
         assert len(dp) == 1 and dp.pop() > 0
         assert len(dm) == 1 and dm.pop() > 0
 
     def test_delta_equals_one_block_of_stages(self):
-        r1 = cost_report(desk(num_blocks=1), include_encoder=False)
-        r2 = cost_report(desk(num_blocks=2), include_encoder=False)
+        p1, m1 = cost_report(desk(num_blocks=1)).subtotal("decoder.")
+        r2 = cost_report(desk(num_blocks=2))
+        p2, m2 = r2.subtotal("decoder.")
         block2 = r2.subtotal("decoder.ase.blocks.1.")
-        assert r2.params - r1.params == block2[0]
-        assert r2.macs - r1.macs == block2[1]
+        assert p2 - p1 == block2[0]
+        assert m2 - m1 == block2[1]
 
 
 class TestMonotonicity:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 
@@ -6,7 +7,8 @@ import pytest
 
 from scaseg import (ConfigError, DataError, Tensor, load_checkpoint,
                     load_tensor, save_checkpoint, save_tensor, serialization)
-from scaseg.config import build_config, load_config, parse_config_text
+from scaseg.config import (_SCHEMA, FullConfig, build_config, load_config,
+                           parse_config_text)
 from scaseg.serialization import read_tensor, write_tensor
 
 
@@ -176,14 +178,22 @@ class TestConfigParsing:
 
     def test_values_reach_the_right_sections(self):
         cfg = build_config({"num_blocks": "3", "base_lr": "0.002",
-                            "encoder_channels": "4, 8, 12, 16",
-                            "attention_bias": "false",
-                            "ase_embed_dim": "none"})
+                            "encoder_channels": "4, 8, 12, 16"})
         assert cfg.decoder.num_blocks == 3
         assert cfg.train.base_lr == 0.002
         assert cfg.encoder.channels == (4, 8, 12, 16)
-        assert cfg.decoder.attention_bias is False
-        assert cfg.decoder.ase_embed_dim is None
+
+    def test_schema_rows_match_config_fields(self):
+        cfg = FullConfig()
+        fields = sorted((section.name, f.name) for section in dataclasses.fields(cfg)
+                        for f in dataclasses.fields(getattr(cfg, section.name)))
+        rows = sorted((section, name) for section, name, _ in _SCHEMA.values())
+        assert rows == fields
+        for key in ("ase_embed_dim", "attention_bias"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_text(f"{key} = 16\n")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                build_config({}, {key: "16"})
 
     def test_bad_typed_value(self):
         with pytest.raises(ConfigError, match="num_blocks"):

@@ -248,18 +248,11 @@ def _op_cases(rng):
         ("pointwise_strided", lambda x: (conv2d(x, pw_w, stride=2) ** 2.0).sum(),
          (2, 3, 5, 5), None),
         ("linear", lambda x: (linear(x, lin_w, lin_b) ** 2.0).sum(), (2, 3, 4), None),
-        ("linear_no_bias", lambda x: (linear(x, lin_w) ** 2.0).sum(), (2, 3, 4), None),
         ("linear_conv_form", lambda x: (linear(x, lin_wc, lin_b) ** 2.0).sum(),
-         (2, 3, 4), None),
-        ("linear_conv_form_no_bias", lambda x: (linear(x, lin_wc) ** 2.0).sum(),
          (2, 3, 4), None),
         ("linear_weight", lambda w: (linear(lin_x, w, lin_b) ** 2.0).sum(),
          (4, 5), None),
-        ("linear_no_bias_weight", lambda w: (linear(lin_x, w) ** 2.0).sum(),
-         (4, 5), None),
         ("linear_conv_form_weight", lambda w: (linear(lin_x, w, lin_b) ** 2.0).sum(),
-         (5, 4, 1, 1), None),
-        ("linear_conv_form_no_bias_weight", lambda w: (linear(lin_x, w) ** 2.0).sum(),
          (5, 4, 1, 1), None),
         ("linear_bias", lambda b: (linear(lin_x, lin_w, b) ** 2.0).sum(), (5,), None),
         ("attention_q", lambda q: (attention(q, att_k, att_v, 2)[0] * att_g).sum(),
@@ -387,7 +380,7 @@ class TestOneNodePrimitives:
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 6, 4)))
         with pytest.raises(ShapeError):
-            linear(x, Tensor(np.zeros((3, 5))))
+            linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
         with pytest.raises(ShapeError):
             attention(x, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4, 4))), 2)
         with pytest.raises(ShapeError):
