@@ -159,7 +159,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    table = ablation_table(cfg, args.axis, cfg.encoder.height, cfg.encoder.width)
+    table = ablation_table(cfg, args.axis)
     print(table.to_text())
     _write_csv(args, f"ablate_{args.axis}.csv", table.to_csv())
     if args.train:

@@ -100,6 +100,14 @@ class FullConfig:
         self.encoder.validate()
         self.decoder.validate()
         self.train.validate()
+        # each level's heads split its attention query width evenly
+        channels, dec = self.encoder.channels, self.decoder
+        widths = ((sum(channels),) if dec.attention_variant == "self-on-concat"
+                  else channels[1:])
+        for heads, width in zip(dec.heads, widths):
+            if width % heads:
+                raise ConfigError(
+                    f"{heads} heads do not divide the query width {width}")
         return self
 
 

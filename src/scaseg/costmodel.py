@@ -1,10 +1,10 @@
 """Analytic parameter and multiply-accumulate accounting.
 
-Counting rules: a conv contributes C_in/groups * C_out * k^2 weights plus
-C_out biases and C_in/groups * C_out * k^2 * h_out * w_out MACs; a linear
-d_in * d_out weights plus d_out biases and d_in * d_out MACs per token; a
-norm contributes 2C parameters and zero MACs (running stats are buffers,
-not parameters).
+Counting rules: a conv contributes C_in * C_out * k^2 weights plus C_out
+biases and C_in * C_out * k^2 * h_out * w_out MACs (a depthwise conv counts
+with C_in = 1); a linear d_in * d_out weights plus d_out biases and
+d_in * d_out MACs per token; a norm contributes 2C parameters and zero MACs
+(running stats are buffers, not parameters).
 Softmax, activations, and resampling are listed as zero-MAC lines so the
 breakdown still names every stage. MAC totals follow the vision
 literature's convention of reporting one MAC as one FLOP.
@@ -33,8 +33,6 @@ def _table_csv(header: str, rows) -> str:
 
 @dataclass
 class CostReport:
-    height: int
-    width: int
     entries: list = field(default_factory=list)  # (path, params, macs)
 
     @property
@@ -63,8 +61,8 @@ class CostReport:
         return _table_csv("module", self._rows())
 
 
-def _conv(report, path, c_in, c_out, k, h, w, groups=1):
-    weights = (c_in // groups) * c_out * k * k
+def _conv(report, path, c_in, c_out, k, h, w):
+    weights = c_in * c_out * k * k
     report.add(path, weights + c_out, weights * h * w)
 
 
@@ -94,7 +92,7 @@ def _attention(report, path, kv_dim, q_dim, n_q, n_kv):
 def _mix_ffn(report, path, channels, h, w):
     hidden = 4 * channels
     _conv(report, f"{path}.fc1", channels, hidden, 1, h, w)
-    _conv(report, f"{path}.dw", hidden, hidden, 3, h, w, groups=hidden)
+    _conv(report, f"{path}.dw", 1, hidden, 3, h, w)
     report.add(f"{path}.gelu", 0, 0)
     _conv(report, f"{path}.fc2", hidden, channels, 1, h, w)
 
@@ -161,9 +159,8 @@ def cost_report(cfg: FullConfig, H: int | None = None,
     W = cfg.encoder.width if W is None else W
     if min(H, W) < 64 or H % 64 or W % 64:
         raise ConfigError(f"resolution {H}x{W} must be positive multiples of 64")
-    cfg.encoder.validate()
-    cfg.decoder.validate()
-    report = CostReport(H, W)
+    cfg.validate()
+    report = CostReport()
     _encoder_costs(report, cfg.encoder, H, W)
     _decoder_costs(report, cfg.encoder.channels, cfg.decoder, H, W)
     return report
@@ -171,7 +168,6 @@ def cost_report(cfg: FullConfig, H: int | None = None,
 
 @dataclass
 class AblationTable:
-    axis: str
     rows: list  # (setting, params, macs)
 
     def to_text(self) -> str:
@@ -198,11 +194,12 @@ def variants_for_axis(axis: str, base: FullConfig):
     raise ConfigError(f"unknown ablation axis {axis!r}")
 
 
-def ablation_table(base: FullConfig, axis: str, H: int, W: int) -> AblationTable:
-    """Rows of (setting, params, macs) along one configuration axis."""
+def ablation_table(base: FullConfig, axis: str) -> AblationTable:
+    """Rows of (setting, params, macs) along one configuration axis, at the
+    image size of ``base``."""
     rows = []
     for setting, dec_cfg in variants_for_axis(axis, base):
         cfg = FullConfig(encoder=base.encoder, decoder=dec_cfg, train=base.train)
-        report = cost_report(cfg, H, W)
+        report = cost_report(cfg)
         rows.append((setting, report.params, report.macs))
-    return AblationTable(axis, rows)
+    return AblationTable(rows)

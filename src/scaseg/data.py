@@ -55,7 +55,7 @@ def _draw_shape(mask: np.ndarray, label: int, rng: RandomSource):
 
 def _draw_mask(H: int, W: int, K: int, rng: RandomSource) -> np.ndarray:
     """Place K-1 occluding shapes, redrawing until every class keeps a
-    visible region (at least 16 pixels)."""
+    visible region (at least 16 pixels); 100 failed draws are an error."""
     for _ in range(100):
         mask = np.zeros((H, W), dtype=np.int64)
         for label in range(1, K):
@@ -63,7 +63,9 @@ def _draw_mask(H: int, W: int, K: int, rng: RandomSource) -> np.ndarray:
         counts = np.bincount(mask.ravel(), minlength=K)
         if (counts >= 16).all():
             return mask
-    return mask
+    raise ConfigError(
+        f"{K} classes do not all stay visible on {H}x{W} masks: "
+        "100 draws left a class under 16 pixels")
 
 
 def gen_synthetic_dataset(n: int, H: int, W: int, K: int,

@@ -89,27 +89,17 @@ class Conv2d(Module):
     """Conv layer with Kaiming fan-out init, padded by ``k // 2``."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: RandomSource,
-                 stride: int = 1, groups: int = 1,
-                 init_std: float | None = None):
+                 stride: int = 1, init_std: float | None = None):
         super().__init__()
-        if c_in % groups or c_out % groups:
-            raise ConfigError(
-                f"groups={groups} must divide channels {c_in}->{c_out}")
         self.stride = stride
-        self.padding = k // 2
-        self.groups = groups
         if init_std is None:
-            fan_out = c_out * k * k // groups
-            init_std = np.sqrt(2.0 / fan_out)
-        self.weight = Tensor(
-            rng.normal((c_out, c_in // groups, k, k), std=init_std),
-            requires_grad=True)
+            init_std = np.sqrt(2.0 / (c_out * k * k))
+        self.weight = Tensor(rng.normal((c_out, c_in, k, k), std=init_std),
+                             requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias,
-                      stride=self.stride, padding=self.padding,
-                      groups=self.groups)
+        return conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class ConvBN(Module):
@@ -168,10 +158,9 @@ class MixFFN(Module):
     def __init__(self, channels: int, rng: RandomSource):
         super().__init__()
         hidden = self.EXPANSION * channels
-        self.channels = channels
-        self.hidden = hidden
         self.fc1 = Conv2d(channels, hidden, 1, rng.spawn(1))
-        self.dw = Conv2d(hidden, hidden, 3, rng.spawn(2), groups=hidden)
+        # depthwise weights (hidden, 1, 3, 3), drawn at the per-channel fan-out 9
+        self.dw = Conv2d(1, hidden, 3, rng.spawn(2), init_std=np.sqrt(2.0 / 9))
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
     def __call__(self, x: Tensor, spatial) -> Tensor:

@@ -470,58 +470,52 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2-d cross-correlation on (B, C, H, W) input.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation with a bias on (B, C, H, W) input.
 
-    ``w`` is (C_out, C_in/groups, kh, kw). Implemented as im2col + batched
-    matmul. The backward pass computes the weight gradient as one GEMM per
-    image and group, ``g @ colsᵀ``, summed over the batch, and scatters the
-    input gradient with a fixed loop order so results are deterministic.
+    ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
+    Implemented as im2col + batched matmul. The backward pass computes the
+    weight gradient as one GEMM per image, ``g @ colsᵀ``, summed over the
+    batch, and scatters the input gradient with a fixed loop order so
+    results are deterministic.
 
-    A 1×1 kernel with stride 1 and no padding skips im2col: the column
-    matrix is ``x`` itself (copied only if it is not C-contiguous), and the
-    input gradient is the column gradient reshaped, with no scatter.
+    A 1×1 kernel with stride 1 skips im2col: the column matrix is ``x``
+    itself (copied only if it is not C-contiguous), and the input gradient
+    is the column gradient reshaped, with no scatter.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
     B, C_in, H, W = x.shape
-    C_out, C_in_g, kh, kw = w.shape
-    if C_in != C_in_g * groups or C_out % groups != 0:
+    C_out, _, kh, kw = w.shape
+    if w.shape[1] != C_in or kh != kw:
         raise ShapeError(
-            f"conv2d channel mismatch: x has {C_in} channels, "
-            f"w is {w.shape} with groups={groups}")
-    s, p = stride, padding
+            f"conv2d needs a square kernel over the input's {C_in} channels, "
+            f"got w of shape {w.shape}")
+    s, p = stride, kh // 2
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
 
-    C_out_g = C_out // groups
-    k = C_in_g * kh * kw
-    pointwise = kh == kw == 1 and s == 1 and p == 0
+    k = C_in * kh * kw
+    pointwise = kh == 1 and s == 1
     if pointwise:
-        cols_g = np.ascontiguousarray(x.data).reshape(B, groups, k, Ho * Wo)
+        cols = np.ascontiguousarray(x.data).reshape(B, k, Ho * Wo)
     else:
         xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
         cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
-        cols_g = cols.reshape(B, groups, k, Ho * Wo)
-    w_g = w.data.reshape(groups, C_out_g, k)
-    out = np.matmul(w_g[None], cols_g)  # (B, groups, C_out_g, Ho*Wo)
-    out = out.reshape(B, C_out, Ho, Wo)
-    if b is not None:
-        out += b.data.reshape(1, C_out, 1, 1)
-
-    parents = (x, w) if b is None else (x, w, b)
+        cols = cols.reshape(B, k, Ho * Wo)
+    w2 = w.data.reshape(C_out, k)
+    out = np.matmul(w2, cols).reshape(B, C_out, Ho, Wo)
+    out += b.data.reshape(1, C_out, 1, 1)
 
     def backward(g):
-        g4 = g.reshape(B, groups, C_out_g, Ho * Wo)
-        gw = np.matmul(g4, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
-        gw = gw.reshape(w.shape)
-        gcols = np.matmul(np.swapaxes(w_g, -1, -2)[None], g4)
+        g3 = g.reshape(B, C_out, Ho * Wo)
+        gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
+        gcols = np.matmul(w2.T, g3)
         if pointwise:
             gx = gcols.reshape(x.shape)
         else:
@@ -531,11 +525,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 for j in range(kw):
                     gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
             gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
-    return Tensor._from_op(out, parents, backward)
+    return Tensor._from_op(out, (x, w, b), backward)
 
 
 def bilinear_resize(x: Tensor, target) -> Tensor:

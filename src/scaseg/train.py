@@ -216,6 +216,4 @@ def train_loop(model: Module, train_set: list[SyntheticSample],
         if metrics_path is not None:
             with open(metrics_path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(rows) + "\n")
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model.state())
     return rows

@@ -57,6 +57,16 @@ class TestDescribe:
         assert main(["describe", "--set", setting]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["describe", "--set", "heads=3,1,1"],
+        ["describe", "--set", "attention_variant=self-on-concat",
+         "--set", "heads=7,1,1"],
+        ["ablate", "--axis", "attention", "--set", "heads=16,1,1"]])
+    def test_heads_that_do_not_divide_the_width_exit_2(self, capsys, args):
+        # successive widths are 16, 32, 64; self-on-concat's is 120
+        assert main(args) == 2
+        assert "heads do not divide" in capsys.readouterr().err
+
     def test_config_file_is_applied(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment line\nnum_blocks = 2\nhead_channels = 16\n")
@@ -195,6 +205,13 @@ class TestTrain:
         assert main(args) == 2
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_classes_that_cannot_all_show_exit_2(self, tmp_path, capsys):
+        args = ["train", "--out", str(tmp_path), "--set", "iterations=1",
+                "--set", "num_classes=12", "--set", "train_samples=3",
+                "--set", "val_samples=1"] + TINY
+        assert main(args) == 2
+        assert "12 classes" in capsys.readouterr().err
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # the thread count is set in each child's environment only; the

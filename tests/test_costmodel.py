@@ -39,7 +39,7 @@ class TestSingleLayerFormulas:
     def test_conv1x1_worked_example(self):
         # 8->16 1x1 conv on a 4x4 map: 8*16 weights + 16 biases = 144
         # params, 8*16*16 = 2048 MACs
-        report = CostReport(4, 4)
+        report = CostReport()
         from scaseg.costmodel import _conv
         _conv(report, "c", 8, 16, 1, 4, 4)
         assert report.params == 144
@@ -47,14 +47,14 @@ class TestSingleLayerFormulas:
 
     def test_conv3x3_grouped(self):
         from scaseg.costmodel import _conv
-        report = CostReport(2, 2)
-        _conv(report, "dw", 8, 8, 3, 2, 2, groups=8)
+        report = CostReport()
+        _conv(report, "dw", 1, 8, 3, 2, 2)
         assert report.params == 8 * 9 + 8
         assert report.macs == 8 * 9 * 4
 
     def test_norms_have_params_but_no_macs(self):
         from scaseg.costmodel import _norm
-        report = CostReport(4, 4)
+        report = CostReport()
         _norm(report, "bn", 16)
         _norm(report, "ln", 16)
         assert report.params == 64
@@ -62,7 +62,7 @@ class TestSingleLayerFormulas:
 
     def test_attention_macs(self):
         from scaseg.costmodel import _attention
-        report = CostReport(1, 1)
+        report = CostReport()
         _attention(report, "a", 8, 16, 4, 6)
         proj = 16 * 16 * 4 + 8 * 16 * 6 + 8 * 16 * 6 + 16 * 16 * 4
         assert report.macs == proj + 2 * 4 * 6 * 16
@@ -121,14 +121,14 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
     real_attention, real_depthwise = (layers_mod.attention,
                                       layers_mod.depthwise_tokens)
 
-    def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
-        out = real_conv(x, w, b, stride=stride, padding=padding, groups=groups)
-        c_out, c_in_g, kh, kw = w.shape
+    def conv2d(x, w, b, stride=1):
+        out = real_conv(x, w, b, stride=stride)
+        c_out, c_in, kh, kw = w.shape
         _, _, h_out, w_out = out.shape
         for _ in range(h_out):
             for _ in range(w_out):
                 for _ in range(c_out):
-                    counter[0] += c_in_g * kh * kw
+                    counter[0] += c_in * kh * kw
         return out
 
     def linear(x, w, b):
@@ -285,19 +285,19 @@ class TestReportFormats:
 
 class TestAblationTable:
     def test_scm_axis_rows_are_identical(self):
-        table = ablation_table(desk(), "scm", 64, 64)
+        table = ablation_table(desk(), "scm")
         assert [r[0] for r in table.rows] == ["eq6", "eq7", "eq8"]
         assert len({(p, m) for _, p, m in table.rows}) == 1
 
     def test_blocks_axis_is_affine(self):
-        table = ablation_table(desk(), "blocks", 64, 64)
+        table = ablation_table(desk(), "blocks")
         p = [r[1] for r in table.rows]
         assert len({b - a for a, b in zip(p, p[1:])}) == 1
 
     def test_csv_header(self):
-        table = ablation_table(desk(), "attention", 64, 64)
+        table = ablation_table(desk(), "attention")
         assert table.to_csv().splitlines()[0] == "setting,params,macs"
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
-            ablation_table(desk(), "width", 64, 64)
+            ablation_table(desk(), "width")

@@ -118,7 +118,7 @@ class TestMultiHeadAttention:
 
 def _mix_ffn_oracle(ffn: MixFFN, x: np.ndarray, h: int, w: int) -> np.ndarray:
     """Scalar-loop evaluation of conv1x1 -> depthwise3x3 -> GELU -> conv1x1."""
-    C, hidden = ffn.channels, ffn.hidden
+    hidden, C = ffn.fc1.weight.shape[:2]
     grid = x.reshape(h, w, C)
     w1 = ffn.fc1.weight.data.reshape(hidden, C)
     b1 = ffn.fc1.bias.data

@@ -161,7 +161,6 @@ def _op_cases(rng):
     # batch-2 inputs for the weight gradients, which sum over the batch
     conv_x = Tensor(rng.normal(size=(2, 3, 4, 4)))
     conv_x5 = Tensor(rng.normal(size=(2, 3, 5, 5)))
-    conv_x4 = Tensor(rng.normal(size=(2, 4, 4, 4)))
     # normalization: per-channel affine, an output weighting (the plain sum
     # of a batch-statistics output has zero gradient) and fixed statistics
     gamma = Tensor(rng.normal(size=3))
@@ -204,27 +203,19 @@ def _op_cases(rng):
          (3, 4), None),
         ("slice", lambda x: (x[1:, :2] * x[:2, 2:]).sum(), (3, 4), None),
         ("concat", lambda x: (concat([x, x * 2.0], axis=1) ** 2.0).sum(), (3, 4), None),
-        ("conv2d", lambda x: (conv2d(x, conv_w, stride=1, padding=1) * 0.5).sum(),
+        ("conv2d", lambda x: (conv2d(x, conv_w, pw_b) * 0.5).sum(),
          (1, 3, 4, 4), None),
-        ("conv2d_strided", lambda x: conv2d(x, conv_w, stride=2, padding=1).sum(),
+        ("conv2d_strided", lambda x: conv2d(x, conv_w, pw_b, stride=2).sum(),
          (1, 3, 5, 5), None),
-        ("depthwise", lambda x: (conv2d(x, dw_w, padding=1, groups=3) ** 2.0).sum(),
-         (1, 3, 4, 4), None),
         ("bilinear_up", lambda x: (bilinear_resize(x, (5, 7)) * 1.5).sum(),
          (1, 2, 3, 4), None),
         ("bilinear_down", lambda x: (bilinear_resize(x, (2, 2)) ** 2.0).sum(),
          (1, 2, 5, 6), None),
-        ("conv2d_weight", lambda w: (conv2d(conv_x, w, padding=1) ** 2.0).sum(),
+        ("conv2d_weight", lambda w: (conv2d(conv_x, w, pw_b) ** 2.0).sum(),
          (2, 3, 3, 3), None),
         ("conv2d_strided_weight",
-         lambda w: (conv2d(conv_x5, w, stride=2, padding=1) ** 2.0).sum(),
+         lambda w: (conv2d(conv_x5, w, pw_b, stride=2) ** 2.0).sum(),
          (2, 3, 3, 3), None),
-        ("depthwise_weight",
-         lambda w: (conv2d(conv_x, w, padding=1, groups=3) ** 2.0).sum(),
-         (3, 1, 3, 3), None),
-        ("groups2_weight",
-         lambda w: (conv2d(conv_x4, w, padding=1, groups=2) ** 2.0).sum(),
-         (4, 2, 3, 3), None),
         ("normalize_tokens",
          lambda x: (normalize(x, gamma4, beta4, (-1,), -1, 1e-6)[0] * other).sum(),
          (3, 4), None),
@@ -237,15 +228,12 @@ def _op_cases(rng):
          (2, 3, 2, 2), None),
         ("pointwise", lambda x: (conv2d(x, pw_w, pw_b) ** 2.0).sum(),
          (2, 3, 4, 4), None),
-        ("pointwise_weight", lambda w: (conv2d(conv_x, w) ** 2.0).sum(),
+        ("pointwise_weight", lambda w: (conv2d(conv_x, w, pw_b) ** 2.0).sum(),
          (2, 3, 1, 1), None),
-        ("pointwise_groups2_weight",
-         lambda w: (conv2d(conv_x4, w, groups=2) ** 2.0).sum(),
-         (4, 2, 1, 1), None),
         ("pointwise_channels_last",
-         lambda x: (conv2d(x.permute(0, 3, 1, 2), pw_w) ** 2.0).sum(),
+         lambda x: (conv2d(x.permute(0, 3, 1, 2), pw_w, pw_b) ** 2.0).sum(),
          (2, 4, 4, 3), None),
-        ("pointwise_strided", lambda x: (conv2d(x, pw_w, stride=2) ** 2.0).sum(),
+        ("pointwise_strided", lambda x: (conv2d(x, pw_w, pw_b, stride=2) ** 2.0).sum(),
          (2, 3, 5, 5), None),
         ("linear", lambda x: (linear(x, lin_w, lin_b) ** 2.0).sum(), (2, 3, 4), None),
         ("linear_conv_form", lambda x: (linear(x, lin_wc, lin_b) ** 2.0).sum(),
@@ -369,10 +357,13 @@ class TestOneNodePrimitives:
         g = rng.normal(size=(2, h * w, 4))
         out, grads = _value_and_grads(
             lambda x, wt, b: depthwise_tokens(x, (h, w), wt, b), arrays, g)
-        ref, ref_grads = _value_and_grads(
-            lambda x, wt, b: tokens_from_map(
-                conv2d(map_from_tokens(x, (h, w)), wt, b, padding=1, groups=4)),
-            arrays, g)
+
+        def per_channel_conv(x, wt, b):  # one ungrouped im2col conv a channel
+            m = map_from_tokens(x, (h, w))
+            return tokens_from_map(concat(
+                [conv2d(m[:, c:c + 1], wt[c:c + 1], b[c:c + 1])
+                 for c in range(4)], axis=1))
+        ref, ref_grads = _value_and_grads(per_channel_conv, arrays, g)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         for a, r in zip(grads, ref_grads):
             np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
@@ -386,6 +377,10 @@ class TestOneNodePrimitives:
         with pytest.raises(ShapeError):
             depthwise_tokens(x, (2, 2), Tensor(np.zeros((4, 1, 3, 3))),
                              Tensor(np.zeros(4)))
+        image, b = Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros(2))
+        for w_shape in ((2, 4, 3, 1), (2, 2, 3, 3)):  # not square; 2 != 4 channels
+            with pytest.raises(ShapeError):
+                conv2d(image, Tensor(np.zeros(w_shape)), b)
 
 
 class TestFiniteness:

@@ -53,6 +53,10 @@ class TestSyntheticData:
             gen_synthetic_dataset(1, 64, 64, 13, seed=0)
         with pytest.raises(ConfigError):
             gen_synthetic_dataset(1, 60, 64, 4, seed=0)
+        # at 12 classes the third 64x64 mask of seed 0 leaves a class under
+        # 16 pixels in all 100 draws
+        with pytest.raises(ConfigError, match="12 classes .* 64x64"):
+            gen_synthetic_dataset(3, 64, 64, 12, seed=0)
 
 
 class TestCrossEntropy:
@@ -426,6 +430,19 @@ class TestTrainLoop:
         filled = [r.split(",")[3] != "" for r in rows[1:]]
         assert filled == [False, True, False, True]
         assert path.read_text().splitlines() == rows
+
+    def test_checkpoint_saved_once_per_evaluation(self, tmp_path, monkeypatch):
+        import scaseg.train as train_mod
+        saved = []
+        real_save = train_mod.save_checkpoint
+
+        def counting_save(path, state):
+            saved.append(path)
+            real_save(path, state)
+        monkeypatch.setattr(train_mod, "save_checkpoint", counting_save)
+        model, tr, va, cfg = tiny_setup()  # 4 iterations, eval_interval 2
+        train_loop(model, tr, va, cfg, checkpoint_path=tmp_path / "m.ckpt")
+        assert len(saved) == 2
 
     def test_identical_seeds_give_identical_rows(self):
         runs = []
