@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import tensor
 from .config import SCM_VARIANTS, DecoderConfig, EncoderConfig
 from .encoder import Encoder, FeaturePyramid
 from .errors import ConfigError, ShapeError
@@ -216,4 +217,10 @@ class SegModel(Module):
         self.pack_parameters()
 
     def __call__(self, image: Tensor) -> Tensor:
-        return self.decoder(self.encoder(image))
+        """Logits for ``image``; in eval mode no autodiff graph is recorded."""
+        prev = tensor._record[0]
+        tensor._record[0] = prev and self.training
+        try:
+            return self.decoder(self.encoder(image))
+        finally:
+            tensor._record[0] = prev

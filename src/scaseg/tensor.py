@@ -2,9 +2,10 @@
 
 The graph is recorded eagerly: every primitive that touches a tensor with
 ``requires_grad`` produces a node holding a backward closure and references
-to its parents. ``Tensor.backward()`` topologically sorts the graph and
-accumulates gradients additively over fan-out, so calling it twice without
-``zero_grad`` doubles every leaf gradient.
+to its parents, except inside the forward of an eval-mode ``SegModel``,
+which records no graph. ``Tensor.backward()`` topologically sorts the
+graph and accumulates gradients additively over fan-out, so calling it
+twice without ``zero_grad`` doubles every leaf gradient.
 
 All primitives are implemented on top of numpy; double precision is the
 default dtype and is what the finite-difference checks assume.
@@ -19,6 +20,8 @@ from .errors import ShapeError, UsageError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# graph recording switch; decoder.SegModel.__call__ clears it in eval mode
+_record = [True]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -52,7 +55,7 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _record[0] and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -91,7 +94,8 @@ class Tensor:
         gradients accumulate across repeated calls.
         """
         if self._backward is None and not self._parents:
-            raise UsageError("backward() called on a tensor with no recorded graph")
+            raise UsageError("backward() called on a tensor with no recorded "
+                             "graph; an eval-mode SegModel forward records none")
         if self.size != 1:
             raise UsageError(f"backward() needs a scalar, got shape {self.shape}")
         grad = np.ones_like(self.data)

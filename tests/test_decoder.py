@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scaseg import (Decoder, DecoderConfig, Encoder, EncoderConfig,
-                    RandomSource, ScaStage, SegModel, Tensor, resize_pyramid)
+from scaseg import (ConfigError, Decoder, DecoderConfig, Encoder,
+                    EncoderConfig, RandomSource, ScaStage, SegModel, Tensor,
+                    UsageError, cross_entropy, resize_pyramid)
 from scaseg.encoder import FeaturePyramid
 
 
@@ -246,7 +247,6 @@ class TestHeadAndForward:
     def test_gradients_flow_to_every_parameter(self):
         model = SegModel(EncoderConfig(), DecoderConfig(), seed=1)
         model.train()
-        from scaseg import cross_entropy
         x = Tensor(np.random.default_rng(8).uniform(size=(2, 3, 64, 64)))
         mask = np.random.default_rng(9).integers(0, 4, size=(2, 64, 64))
         loss = cross_entropy(model(x), mask)
@@ -262,9 +262,35 @@ class TestHeadAndForward:
         assert missing == []
 
 
+class TestEvalRecordsNoGraph:
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_eval_forward_has_no_graph_and_same_logits(self, size):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=4).eval()
+        x = Tensor(np.random.default_rng(size).uniform(size=(1, 3, size, size)))
+        out = model(x)
+        assert out.requires_grad is False and out._parents == ()
+        graphed = model.decoder(model.encoder(x))
+        assert graphed.requires_grad and graphed._parents
+        assert np.array_equal(out.data, graphed.data)
+        with pytest.raises(UsageError, match="eval-mode SegModel"):
+            out.sum().backward()
+
+    def test_failed_eval_forward_leaves_training_graphed(self):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=5).eval()
+        with pytest.raises(ConfigError):
+            model(Tensor(np.zeros((1, 3, 96, 96))))
+        model.train()
+        g = np.random.default_rng(11)
+        x = Tensor(g.uniform(size=(2, 3, 64, 64)))
+        loss = cross_entropy(model(x), g.integers(0, 4, size=(2, 64, 64)))
+        assert loss._parents
+        loss.backward()
+        assert np.any(model.flat_grad != 0.0)
+
+
 class TestDecoderGradcheck:
     def test_sampled_parameters_match_finite_differences(self):
-        from scaseg import cross_entropy, gradient_check
+        from scaseg import gradient_check
         model = SegModel(EncoderConfig(), DecoderConfig(), seed=2)
         model.train()
         g = np.random.default_rng(10)

@@ -107,7 +107,7 @@ class TestBackward:
         assert np.allclose(x.grad, [6.0])
 
     def test_no_graph_is_usage_error(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="eval-mode SegModel"):
             Tensor(1.0).backward()
 
     def test_non_scalar_is_usage_error(self):
