@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor
-from .config import SCM_VARIANTS, DecoderConfig, EncoderConfig
+from .config import DecoderConfig, EncoderConfig
 from .encoder import Encoder, FeaturePyramid
 from .errors import ConfigError, ShapeError
 from .layers import (ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention,
                      map_from_tokens, tokens_from_map)
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, bilinear_resize, concat
+from .tensor import Tensor, bilinear_resize, concat, resize_concat
 
 
 @dataclass
@@ -75,8 +75,6 @@ class AggregatedSemanticsExtractor(Module):
 
     def __init__(self, channels, cfg: DecoderConfig, rng: RandomSource):
         super().__init__()
-        if cfg.attention_variant not in ("successive", "plain-cross"):
-            raise ConfigError(f"unsupported variant {cfg.attention_variant!r}")
         self.variant = cfg.attention_variant
         self.blocks = [
             [ScaStage(channels[t], channels[t + 1], rng.spawn(100 * l + t),
@@ -135,8 +133,6 @@ class SemanticCombiner(Module):
 
     def __init__(self, channels: int, variant: str, rng: RandomSource):
         super().__init__()
-        if variant not in SCM_VARIANTS:
-            raise ConfigError(f"unknown scm variant {variant!r}")
         self.variant = variant
         self.proj_f = ConvBN(channels, channels, rng.spawn(1))
         self.proj_s = ConvBN(channels, channels, rng.spawn(2))
@@ -159,7 +155,9 @@ class SemanticCombiner(Module):
 
 
 class SegmentationHead(Module):
-    """Project, fuse, and classify the enhanced features plus F_1."""
+    """Project, fuse, and classify the enhanced features plus F_1. The four
+    projections are resized to F_1's size and concatenated by one
+    ``resize_concat`` node."""
 
     def __init__(self, channels, head_channels: int, num_classes: int,
                  rng: RandomSource):
@@ -173,11 +171,8 @@ class SegmentationHead(Module):
                                  init_std=0.01)
 
     def __call__(self, f1: Tensor, enhanced, out_size) -> Tensor:
-        target = (f1.shape[2], f1.shape[3])
-        parts = []
-        for proj, x in zip(self.projs, (f1, *enhanced)):
-            parts.append(bilinear_resize(proj(x), target))
-        fused = self.fuse(concat(parts, axis=1))
+        parts = [proj(x) for proj, x in zip(self.projs, (f1, *enhanced))]
+        fused = self.fuse(resize_concat(parts, f1.shape[2:]))
         logits = self.classifier(fused)
         return bilinear_resize(logits, out_size)
 

@@ -3,8 +3,9 @@
 Conventions: image tensors are (B, C, H, W); token tensors are (B, N, C)
 with tokens flattened row-major from the spatial grid. LayerNorm epsilon is
 1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. The norms (through the
-shared ``tensor.normalize``), Linear, the attention core and the depthwise
-conv are one graph node each, and tokens stay (B, N, C) through the mix-FFN.
+shared ``tensor.normalize``), ConvBN with its ReLU (``tensor.conv_norm``),
+Linear, the attention core and the depthwise conv are one graph node each,
+and tokens stay (B, N, C) through the mix-FFN.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ShapeError
 from .module import Module
 from .rng import RandomSource
-from .tensor import (Tensor, attention, conv2d, depthwise_tokens, linear,
-                     normalize)
+from .tensor import (Tensor, attention, conv2d, conv_norm, depthwise_tokens,
+                     linear, normalize)
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
@@ -50,7 +51,8 @@ class LayerNorm(Module):
 
 
 class BatchNorm2d(Module):
-    """Single-device batch norm over (B, H, W) per channel."""
+    """Single-device batch norm over (B, H, W) per channel. ``ConvBN``
+    shares its statistics through ``fixed_stats`` and ``track``."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -64,25 +66,38 @@ class BatchNorm2d(Module):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"BatchNorm2d({self.channels}) got input shape {x.shape}")
-        B, C, H, W = x.shape
+        self.check_batch(x.shape)
+        out, mu, var = normalize(x, self.gamma, self.beta, (0, 2, 3), 1,
+                                 BN_EPS, self.fixed_stats())
+        self.track(mu, var, x.shape)
+        return out
+
+    def fixed_stats(self):
+        """Eval mode: the running (mean, var) shaped (1, C, 1, 1). Training
+        mode: None, so the batch's own statistics are used."""
         if not self.training:
-            stats = (self.running_mean.data.reshape(1, C, 1, 1),
-                     self.running_var.data.reshape(1, C, 1, 1))
-            return normalize(x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS,
-                             stats)[0]
-        n = B * H * W
-        if n <= 1:
+            return (self.running_mean.data.reshape(1, -1, 1, 1),
+                    self.running_var.data.reshape(1, -1, 1, 1))
+
+    def check_batch(self, shape):
+        B, _, H, W = shape
+        if self.training and B * H * W <= 1:
             raise NumericalError(
                 "batch norm in training mode needs more than one value "
                 f"per channel (got batch {B}, spatial {H}x{W})")
-        out, mu, var = normalize(x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS)
-        # running stats track the unbiased batch variance, outside the graph
-        m = BN_MOMENTUM
-        self.running_mean.data[...] = (
-            (1 - m) * self.running_mean.data + m * mu.reshape(C))
-        self.running_var.data[...] = (
-            (1 - m) * self.running_var.data + m * var.reshape(C) * n / (n - 1))
-        return out
+
+    def track(self, mu, var, shape):
+        """In training mode, fold the statistics of a batch of ``shape``
+        into the running ones, which track the unbiased variance."""
+        if self.training:
+            self.check_batch(shape)
+            B, C, H, W = shape
+            n, m = B * H * W, BN_MOMENTUM
+            self.running_mean.data[...] = (
+                (1 - m) * self.running_mean.data + m * mu.reshape(C))
+            self.running_var.data[...] = (
+                (1 - m) * self.running_var.data
+                + m * var.reshape(C) * n / (n - 1))
 
 
 class Conv2d(Module):
@@ -103,7 +118,8 @@ class Conv2d(Module):
 
 
 class ConvBN(Module):
-    """1x1 (or kxk) convolution followed by batch normalization."""
+    """1x1 (or kxk) convolution followed by batch normalization and an
+    optional ReLU, as one ``conv_norm`` node."""
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, k: int = 1,
                  stride: int = 1, relu: bool = False):
@@ -113,8 +129,12 @@ class ConvBN(Module):
         self.relu = relu
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.bn(self.conv(x))
-        return out.relu() if self.relu else out
+        conv, bn = self.conv, self.bn
+        out, mu, var = conv_norm(x, conv.weight, conv.bias, bn.gamma, bn.beta,
+                                 conv.stride, BN_EPS, bn.fixed_stats(),
+                                 self.relu)
+        bn.track(mu, var, out.shape)
+        return out
 
 
 class MultiHeadAttention(Module):

@@ -8,7 +8,11 @@ graph and accumulates gradients additively over fan-out, so calling it
 twice without ``zero_grad`` doubles every leaf gradient.
 
 All primitives are implemented on top of numpy; double precision is the
-default dtype and is what the finite-difference checks assume.
+default dtype and is what the finite-difference checks assume. The conv and
+normalization math lives in array kernels that return ``(out, backward)``;
+``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
+``conv_norm`` node chains both, normalizing the conv output in place.
+``bilinear_resize`` is the one-part case of ``resize_concat``.
 """
 
 from __future__ import annotations
@@ -430,32 +434,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
-              channel_axis: int, eps: float, stats=None):
-    """``gamma * (x - mean) * (var + eps) ** -0.5 + beta`` as one node.
-
-    Without ``stats`` the mean and (biased) variance are taken over ``axes``
-    of ``x`` and differentiated through; ``stats=(mean, var)`` supplies them
-    as constants broadcastable to ``x`` (batch-norm eval mode). ``gamma``
-    and ``beta`` are per-channel along ``channel_axis``. Returns
-    ``(out, mean, var)``, the statistics as keepdims numpy arrays.
-    """
+def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
+    """Array kernel of ``normalize``: returns ``(out, backward, mean, var)``
+    with ``backward(gout) -> (gx, ggamma, gbeta)``. With ``inplace`` the
+    caller's ``x`` is overwritten by ``x̂``, which the backward keeps."""
     pshape = [1] * x.ndim
     pshape[channel_axis] = gamma.size
-    g = gamma.data.reshape(pshape)
+    g = gamma.reshape(pshape)
     if stats is None:
         n = int(np.prod([x.shape[a] for a in axes]))
-        mean = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
-        d = x.data + (-mean)
+        mean = x.sum(axis=axes, keepdims=True) * (1.0 / n)
+        d = np.add(x, -mean, out=x if inplace else None)
         var = (d * d).sum(axis=axes, keepdims=True) * (1.0 / n)
         inv = (var + eps) ** -0.5
     else:
         mean, var = stats
-        d = x.data + (-mean)
+        d = np.add(x, -mean, out=x if inplace else None)
         inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(d, inv, out=d)
     out = xhat * g
-    out += beta.data.reshape(pshape)
+    out += beta.reshape(pshape)
     param_axes = tuple(i for i in range(x.ndim) if pshape[i] == 1)
 
     def backward(gout):
@@ -471,22 +469,27 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
         gxhat *= inv
         return gxhat, ggamma, gout.sum(axis=param_axes).reshape(beta.shape)
 
+    return out, backward, mean, var
+
+
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
+              channel_axis: int, eps: float, stats=None):
+    """``gamma * (x - mean) * (var + eps) ** -0.5 + beta`` as one node.
+
+    Without ``stats`` the mean and (biased) variance are taken over ``axes``
+    of ``x`` and differentiated through; ``stats=(mean, var)`` supplies them
+    as constants broadcastable to ``x`` (batch-norm eval mode). ``gamma``
+    and ``beta`` are per-channel along ``channel_axis``. Returns
+    ``(out, mean, var)``, the statistics as keepdims numpy arrays.
+    """
+    out, backward, mean, var = _normalize(x.data, gamma.data, beta.data, axes,
+                                          channel_axis, eps, stats, False)
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """2-d cross-correlation with a bias on (B, C, H, W) input.
-
-    ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
-    Implemented as im2col + batched matmul. The backward pass computes the
-    weight gradient as one GEMM per image, ``g @ colsᵀ``, summed over the
-    batch, and scatters the input gradient with a fixed loop order so
-    results are deterministic.
-
-    A 1×1 kernel with stride 1 skips im2col: the column matrix is ``x``
-    itself (copied only if it is not C-contiguous), and the input gradient
-    is the column gradient reshaped, with no scatter.
-    """
+def _conv2d(x, w, b, stride, need_gx):
+    """Array kernel of ``conv2d``: returns ``(out, backward)`` with
+    ``backward(g) -> (gx, gw, gb)``; ``gx`` is None unless ``need_gx``."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
     B, C_in, H, W = x.shape
@@ -504,34 +507,76 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     k = C_in * kh * kw
     pointwise = kh == 1 and s == 1
     if pointwise:
-        cols = np.ascontiguousarray(x.data).reshape(B, k, Ho * Wo)
+        cols = np.ascontiguousarray(x).reshape(B, k, Ho * Wo)
     else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
         cols = cols.reshape(B, k, Ho * Wo)
-    w2 = w.data.reshape(C_out, k)
+    w2 = w.reshape(C_out, k)
     out = np.matmul(w2, cols).reshape(B, C_out, Ho, Wo)
-    out += b.data.reshape(1, C_out, 1, 1)
+    out += b.reshape(1, C_out, 1, 1)
 
     def backward(g):
         g3 = g.reshape(B, C_out, Ho * Wo)
         gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
-        gcols = np.matmul(w2.T, g3)
-        if pointwise:
-            gx = gcols.reshape(x.shape)
-        else:
-            gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
-            gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+        gx = None
+        if need_gx:
+            gcols = np.matmul(w2.T, g3)
+            if pointwise:
+                gx = gcols.reshape(x.shape)
+            else:
+                gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
+                gxp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
+                gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
         return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
+    return out, backward
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation with a bias on (B, C, H, W) input.
+
+    ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
+    Implemented as im2col + batched matmul. The backward pass computes the
+    weight gradient as one GEMM per image, ``g @ colsᵀ``, summed over the
+    batch, and scatters the input gradient with a fixed loop order so
+    results are deterministic; it skips the input gradient when ``x`` needs
+    none.
+
+    A 1×1 kernel with stride 1 skips im2col: the column matrix is ``x``
+    itself (copied only if it is not C-contiguous), and the input gradient
+    is the column gradient reshaped, with no scatter.
+    """
+    out, backward = _conv2d(x.data, w.data, b.data, stride, x.requires_grad)
     return Tensor._from_op(out, (x, w, b), backward)
+
+
+def conv_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+              stride: int, eps: float, stats=None, relu: bool = False):
+    """``conv2d`` → batch ``normalize`` over (B, H, W) → optional ReLU as
+    one node, chaining the two kernels. The conv output belongs to this
+    node alone, so the normalization overwrites it with ``x̂`` in place,
+    and the ReLU clamps the output in place; the backward masks by the
+    output's sign. Values and gradients equal the three composed nodes bit
+    for bit. Returns ``(out, mean, var)`` as ``normalize`` does.
+    """
+    y, conv_backward = _conv2d(x.data, w.data, b.data, stride, x.requires_grad)
+    out, norm_backward, mean, var = _normalize(
+        y, gamma.data, beta.data, (0, 2, 3), 1, eps, stats, True)
+    if relu:
+        np.maximum(out, 0, out=out)
+
+    def backward(g):
+        gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g)
+        return (*conv_backward(gy), ggamma, gbeta)
+
+    return Tensor._from_op(out, (x, w, b, gamma, beta), backward), mean, var
 
 
 def bilinear_resize(x: Tensor, target) -> Tensor:
@@ -545,14 +590,35 @@ def bilinear_resize(x: Tensor, target) -> Tensor:
     Ht, Wt = int(target[0]), int(target[1])
     if Ht < 1 or Wt < 1:
         raise ShapeError(f"invalid target size {target}")
-    H, W = x.shape[2:]
-    if (Ht, Wt) == (H, W):
-        return Tensor._from_op(x.data.copy(), (x,), lambda g: (g,))
+    return resize_concat([x], (Ht, Wt))
 
-    ry = _resize_matrix(H, Ht)
-    rx = _resize_matrix(W, Wt)
-    out = ry @ x.data @ rx.T
-    return Tensor._from_op(out, (x,), lambda g: (ry.T @ g @ rx,))
+
+def resize_concat(parts, target) -> Tensor:
+    """``concat([bilinear_resize(p, target) for p in parts], axis=1)`` as one
+    node: each (B, C_i, H_i, W_i) part is resized, ``ry @ p @ rxᵀ``, straight
+    into its channel slice of the output, or copied there at the target
+    size, so no resized part is kept. The backward resizes each slice of
+    the gradient back, ``ryᵀ @ g_i @ rx``."""
+    Ht, Wt = target
+    ends = np.cumsum([p.shape[1] for p in parts])
+    out = np.empty((parts[0].shape[0], ends[-1], Ht, Wt))
+    mats = []
+    for p, e in zip(parts, ends):
+        H, W = p.shape[2:]
+        dst = out[:, e - p.shape[1]:e]
+        if (H, W) == (Ht, Wt):
+            dst[...] = p.data
+            mats.append(None)
+        else:
+            ry, rx = _resize_matrix(H, Ht), _resize_matrix(W, Wt)
+            np.matmul(ry @ p.data, rx.T, out=dst)
+            mats.append((ry, rx))
+
+    def backward(g):
+        return tuple(gp if m is None else m[0].T @ gp @ m[1] for m, gp in
+                     zip(mats, np.split(g, ends[:-1], axis=1)))
+
+    return Tensor._from_op(out, tuple(parts), backward)
 
 
 def _resize_matrix(src: int, dst: int) -> np.ndarray:

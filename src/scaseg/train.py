@@ -26,16 +26,16 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
         raise DataError(f"mask shape {mask.shape} does not match logits {logits.shape}")
     if mask.min() < 0 or mask.max() >= K:
         raise DataError(f"labels must lie in 0..{K - 1}, got [{mask.min()}, {mask.max()}]")
-    onehot = np.zeros((B, K, H, W), dtype=logits.dtype)
-    np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
+    labels = mask[:, None]
     inv_n = 1.0 / (B * H * W)
     logp = log_softmax_data(logits.data, axis=1)
-    loss = -(logp * onehot).sum() * inv_n
+    loss = -np.take_along_axis(logp, labels, 1).sum() * inv_n
 
     def backward(g):
         grad = np.exp(logp)
         grad *= inv_n
-        grad -= onehot * inv_n
+        np.put_along_axis(grad, labels,
+                          np.take_along_axis(grad, labels, 1) - inv_n, 1)
         grad *= g
         return (grad,)
 

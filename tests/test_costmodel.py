@@ -114,22 +114,31 @@ class TestParamOracle:
 def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
     """Run a real eval-mode forward pass at H x H with every primitive that
     multiplies and accumulates instrumented, counting MACs position by
-    position: convolutions, linear maps, attention scores and values, and
-    the depthwise conv on tokens."""
+    position: convolutions (alone or fused with batch norm), linear maps,
+    attention scores and values, and the depthwise conv on tokens."""
     counter = [0]
     real_conv, real_linear = layers_mod.conv2d, layers_mod.linear
+    real_conv_norm = layers_mod.conv_norm
     real_attention, real_depthwise = (layers_mod.attention,
                                       layers_mod.depthwise_tokens)
 
-    def conv2d(x, w, b, stride=1):
-        out = real_conv(x, w, b, stride=stride)
+    def count_conv(w, out):
         c_out, c_in, kh, kw = w.shape
         _, _, h_out, w_out = out.shape
         for _ in range(h_out):
             for _ in range(w_out):
                 for _ in range(c_out):
                     counter[0] += c_in * kh * kw
+
+    def conv2d(x, w, b, stride=1):
+        out = real_conv(x, w, b, stride=stride)
+        count_conv(w, out)
         return out
+
+    def conv_norm(x, w, b, gamma, beta, stride, eps, stats=None, relu=False):
+        result = real_conv_norm(x, w, b, gamma, beta, stride, eps, stats, relu)
+        count_conv(w, result[0])
+        return result
 
     def linear(x, w, b):
         out = real_linear(x, w, b)
@@ -157,7 +166,8 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
                 counter[0] += kh * kw
         return out
 
-    for name, fn in (("conv2d", conv2d), ("linear", linear),
+    for name, fn in (("conv2d", conv2d), ("conv_norm", conv_norm),
+                     ("linear", linear),
                      ("attention", attention),
                      ("depthwise_tokens", depthwise_tokens)):
         monkeypatch.setattr(layers_mod, name, fn)

@@ -371,6 +371,16 @@ class TestLayerGradients:
             mode()
             assert bn(x)._parents == (x, bn.gamma, bn.beta)
 
+    def test_conv_bn_is_one_node(self):
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 4, 4)),
+                   requires_grad=True)
+        for relu in (False, True):
+            cb = ConvBN(3, 4, rng(5), k=3, relu=relu)
+            for mode in (cb.train, cb.eval):
+                mode()
+                assert cb(x)._parents == (x, cb.conv.weight, cb.conv.bias,
+                                          cb.bn.gamma, cb.bn.beta)
+
     def test_bilinear_resize(self):
         x = Tensor(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))
         err = gradient_check(
@@ -392,8 +402,9 @@ def _graph_nodes(t: Tensor) -> int:
 
 
 class TestNodeBudget:
-    """Graph nodes per call: Linear, the attention core and the depthwise
-    conv are one node each, and tokens need no layout nodes."""
+    """Graph nodes per call: Linear, the attention core, the depthwise conv,
+    each ConvBN and the head's resize-and-concat are one node each, and
+    tokens need no layout nodes."""
 
     def test_default_train_step(self):
         cfg = TrainConfig()
@@ -404,7 +415,7 @@ class TestNodeBudget:
                                       dec.num_classes, seed=0)
         loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
                              np.stack([s.mask for s in batch]))
-        assert _graph_nodes(loss) <= 254
+        assert _graph_nodes(loss) == 218
 
     def test_attention_call(self):
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from scaseg import (ShapeError, Tensor, UsageError, bilinear_resize, concat,
-                    conv2d, gradient_check, log_softmax, matmul, softmax)
+from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
+                    bilinear_resize, concat, conv2d, gradient_check,
+                    log_softmax, matmul, softmax)
 from scaseg.layers import map_from_tokens, tokens_from_map
-from scaseg.tensor import attention, depthwise_tokens, linear, normalize
+from scaseg.tensor import (attention, conv_norm, depthwise_tokens, linear,
+                           normalize, resize_concat)
 
 
 class TestMatmul:
@@ -185,6 +187,17 @@ def _op_cases(rng):
     tok_x1 = Tensor(rng.normal(size=(2, 1, 3)))
     tok_x6 = Tensor(rng.normal(size=(2, 6, 3)))
     tok_b = Tensor(rng.normal(size=3))
+    # fused conv → batch norm (→ ReLU) over 2 output channels, with an
+    # output weighting; the ReLU case shifts one channel far above zero and
+    # one far below, so no probe crosses the kink
+    gamma2 = Tensor(rng.normal(size=2))
+    beta2 = Tensor(rng.normal(size=2))
+    cn_w = Tensor(rng.normal(size=(2, 2, 4, 4)))
+    cn_w3 = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    stats2 = (rng.normal(size=(1, 2, 1, 1)), rng.random(size=(1, 2, 1, 1)) + 0.5)
+    relu_gamma, relu_beta = Tensor(np.full(2, 0.3)), Tensor(np.array([2.0, -2.0]))
+    # resize-into-concat: a same-size part and an upsampled one
+    rc_w = Tensor(rng.normal(size=(1, 4, 3, 4)))
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -264,6 +277,29 @@ def _op_cases(rng):
         ("depthwise_tokens_bias",
          lambda b: (depthwise_tokens(tok_x6, (3, 2), dw_w, b) ** 2.0).sum(),
          (3,), None),
+        ("conv_norm",
+         lambda x: (conv_norm(x, conv_w, pw_b, gamma2, beta2, 1, 1e-5)[0]
+                    * cn_w).sum(),
+         (2, 3, 4, 4), None),
+        ("conv_norm_strided_relu",
+         lambda x: (conv_norm(x, conv_w, pw_b, relu_gamma, relu_beta, 2, 1e-5,
+                              relu=True)[0] * cn_w3).sum(),
+         (2, 3, 5, 5), None),
+        ("conv_norm_fixed_stats",
+         lambda x: (conv_norm(x, conv_w, pw_b, gamma2, beta2, 1, 1e-5, stats2)[0]
+                    * cn_w).sum(),
+         (2, 3, 4, 4), None),
+        ("conv_norm_weight",
+         lambda w: (conv_norm(conv_x, w, pw_b, gamma2, beta2, 1, 1e-5)[0]
+                    * cn_w).sum(),
+         (2, 3, 3, 3), None),
+        ("conv_norm_gamma",
+         lambda gm: (conv_norm(conv_x, conv_w, pw_b, gm, beta2, 1, 1e-5)[0]
+                     * cn_w).sum(),
+         (2,), None),
+        ("resize_concat",
+         lambda x: (resize_concat([x, x[:, :, 1:, 1:]], (3, 4)) * rc_w).sum(),
+         (1, 2, 3, 4), None),
     ]
 
 
@@ -289,7 +325,8 @@ def _value_and_grads(fn, arrays, g):
 
 class TestOneNodePrimitives:
     """Each fused node against the composed graph it replaces: the same
-    values and gradients to 1e-12."""
+    values and gradients to 1e-12, or bit for bit where the fused node runs
+    the same numpy operations."""
 
     def test_linear_is_matmul_plus_bias(self):
         rng = np.random.default_rng(0)
@@ -367,6 +404,53 @@ class TestOneNodePrimitives:
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         for a, r in zip(grads, ref_grads):
             np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_conv_norm_is_conv_then_batch_norm(self, training, k, stride, relu):
+        rng = np.random.default_rng(10 * k + stride)
+        x = rng.normal(size=(2, 3, 7, 6))
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        running = rng.normal(size=4), rng.random(size=4) + 0.5
+        g = None
+        results = []
+        for fused in (True, False):
+            cb = ConvBN(3, 4, RandomSource(0), k=k, stride=stride, relu=relu)
+            cb.train() if training else cb.eval()
+            bn = cb.bn
+            for t, a in zip((bn.gamma, bn.beta, bn.running_mean, bn.running_var),
+                            (gamma, beta, *running)):
+                t.data[...] = a
+            xt = Tensor(x.copy(), requires_grad=True)
+            if fused:
+                out = cb(xt)
+            else:  # conv2d → normalize → relu, three nodes
+                out = bn(cb.conv(xt))
+                out = out.relu() if relu else out
+            if g is None:
+                g = rng.normal(size=out.shape)
+            (out * Tensor(g)).sum().backward()
+            params = (cb.conv.weight, cb.conv.bias, bn.gamma, bn.beta)
+            results.append([out.data, xt.grad, *(p.grad for p in params),
+                            bn.running_mean.data, bn.running_var.data])
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("target", [(4, 6), (8, 12)])
+    def test_resize_concat_is_concat_of_resizes(self, target):
+        rng = np.random.default_rng(target[0])
+        arrays = (rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(2, 2, 2, 3)),
+                  rng.normal(size=(2, 1, 1, 2)))
+        g = rng.normal(size=(2, 6, *target))
+        out, grads = _value_and_grads(
+            lambda *parts: resize_concat(parts, target), arrays, g)
+        ref, ref_grads = _value_and_grads(
+            lambda *parts: concat([bilinear_resize(p, target) for p in parts],
+                                  axis=1), arrays, g)
+        assert np.array_equal(out, ref)
+        for a, r in zip(grads, ref_grads):
+            assert np.array_equal(a, r)
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 6, 4)))
