@@ -38,10 +38,9 @@ def _parse_overrides(pairs):
 
 def _load(args) -> FullConfig:
     overrides = _parse_overrides(args.set)
-    cfg = load_config(args.config, overrides)
     if args.seed is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
-    return cfg
+        overrides["seed"] = str(args.seed)
+    return load_config(args.config, overrides)
 
 
 def _out_dir(args) -> str:
@@ -196,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="K=V",
                        help="override a config key (repeatable)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None,
+                       help="same as --set seed=N")
 
     p = sub.add_parser("describe", help="parameter/MAC table for the config")
     common(p)

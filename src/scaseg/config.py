@@ -17,7 +17,6 @@ SCM_VARIANTS = ("eq6", "eq7", "eq8")
 @dataclass
 class EncoderConfig:
     channels: tuple = (8, 16, 32, 64)
-    blocks_per_stage: int = 1
     height: int = 64
     width: int = 64
 
@@ -28,8 +27,6 @@ class EncoderConfig:
             raise ConfigError(f"stage channels must be >= 1: {self.channels}")
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"stage channels must strictly increase: {self.channels}")
-        if self.blocks_per_stage < 1:
-            raise ConfigError("blocks_per_stage must be >= 1")
         for dim, name in ((self.height, "height"), (self.width, "width")):
             if dim < 64 or dim % 64:
                 raise ConfigError(
@@ -70,7 +67,6 @@ class TrainConfig:
     iterations: int = 2000
     batch_size: int = 4
     base_lr: float = 3e-4
-    poly_power: float = 1.0
     weight_decay: float = 0.01
     seed: int = 0
     train_samples: int = 200
@@ -82,11 +78,12 @@ class TrainConfig:
                      "train_samples", "val_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.base_lr < float("inf"):
             raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        for name in ("weight_decay", "poly_power"):
-            if not 0.0 <= getattr(self, name) < float("inf"):
-                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0.0 <= self.weight_decay < float("inf"):
+            raise ConfigError("weight_decay must be finite and >= 0")
         return self
 
 
@@ -120,7 +117,6 @@ _SCHEMA = {
     "image_height": ("encoder", "height", int),
     "image_width": ("encoder", "width", int),
     "encoder_channels": ("encoder", "channels", _int_list),
-    "encoder_blocks_per_stage": ("encoder", "blocks_per_stage", int),
     "num_blocks": ("decoder", "num_blocks", int),
     "heads": ("decoder", "heads", _int_list),
     "attention_variant": ("decoder", "attention_variant", str),
@@ -130,7 +126,6 @@ _SCHEMA = {
     "iterations": ("train", "iterations", int),
     "batch_size": ("train", "batch_size", int),
     "base_lr": ("train", "base_lr", float),
-    "poly_power": ("train", "poly_power", float),
     "weight_decay": ("train", "weight_decay", float),
     "seed": ("train", "seed", int),
     "train_samples": ("train", "train_samples", int),

@@ -113,8 +113,7 @@ def _encoder_costs(report, cfg: EncoderConfig, H, W):
         stride = 4 if i == 0 else 2
         h, w = h // stride, w // stride
         _conv_bn(report, f"encoder.stages.{i}.0", c_prev, c, 3, h, w)
-        for b in range(1, cfg.blocks_per_stage + 1):
-            _conv_bn(report, f"encoder.stages.{i}.{b}", c, c, 3, h, w)
+        _conv_bn(report, f"encoder.stages.{i}.1", c, c, 3, h, w)
         c_prev = c
 
 
@@ -157,9 +156,8 @@ def cost_report(cfg: FullConfig, H: int | None = None,
     """Full analytic cost breakdown at resolution (H, W)."""
     H = cfg.encoder.height if H is None else H
     W = cfg.encoder.width if W is None else W
-    if min(H, W) < 64 or H % 64 or W % 64:
-        raise ConfigError(f"resolution {H}x{W} must be positive multiples of 64")
     cfg.validate()
+    replace(cfg.encoder, height=H, width=W).validate()
     report = CostReport()
     _encoder_costs(report, cfg.encoder, H, W)
     _decoder_costs(report, cfg.encoder.channels, cfg.decoder, H, W)

@@ -1,9 +1,9 @@
 """Four-stage convolutional encoder producing a strided feature pyramid.
 
-Stage i emits a map of size H/2^(i+1) x W/2^(i+1) with the configured
+Stage i emits a map of size H/2^(i+2) x W/2^(i+2) with the configured
 channel count: a downsampling 3x3 conv (stride 4 for the first, patchify
-stage, stride 2 afterwards) followed by ``blocks_per_stage`` stride-1
-conv blocks, all conv+BN+ReLU.
+stage, stride 2 afterwards) followed by one stride-1 3x3 conv, both
+conv+BN+ReLU.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ class Encoder(Module):
         c_prev = 3
         for i, c in enumerate(cfg.channels):
             stride = 4 if i == 0 else 2
-            blocks = [ConvBN(c_prev, c, rng.spawn(10 * i), k=3,
-                             stride=stride, relu=True)]
-            for b in range(cfg.blocks_per_stage):
-                blocks.append(ConvBN(c, c, rng.spawn(10 * i + b + 1), k=3,
-                                     relu=True))
-            stages.append(blocks)
+            stages.append([
+                ConvBN(c_prev, c, rng.spawn(10 * i), k=3, stride=stride,
+                       relu=True),
+                ConvBN(c, c, rng.spawn(10 * i + 1), k=3, relu=True)])
             c_prev = c
         self.stages = stages
 

@@ -52,7 +52,7 @@ class LayerNorm(Module):
 
 class BatchNorm2d(Module):
     """Single-device batch norm over (B, H, W) per channel. ``ConvBN``
-    shares its statistics through ``fixed_stats`` and ``track``."""
+    shares its statistics through ``normalized``."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -66,38 +66,29 @@ class BatchNorm2d(Module):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"BatchNorm2d({self.channels}) got input shape {x.shape}")
-        self.check_batch(x.shape)
-        out, mu, var = normalize(x, self.gamma, self.beta, (0, 2, 3), 1,
-                                 BN_EPS, self.fixed_stats())
-        self.track(mu, var, x.shape)
-        return out
+        return self.normalized(lambda stats: normalize(
+            x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS, stats))
 
-    def fixed_stats(self):
-        """Eval mode: the running (mean, var) shaped (1, C, 1, 1). Training
-        mode: None, so the batch's own statistics are used."""
+    def normalized(self, build) -> Tensor:
+        """The output of ``build(stats) -> (out, mean, var)``. Eval mode
+        passes the running (mean, var) shaped (1, C, 1, 1). Training mode
+        passes None, so the batch's own statistics are used, and folds them
+        into the running ones, which track the unbiased variance."""
         if not self.training:
-            return (self.running_mean.data.reshape(1, -1, 1, 1),
-                    self.running_var.data.reshape(1, -1, 1, 1))
-
-    def check_batch(self, shape):
-        B, _, H, W = shape
-        if self.training and B * H * W <= 1:
+            return build((self.running_mean.data.reshape(1, -1, 1, 1),
+                          self.running_var.data.reshape(1, -1, 1, 1)))[0]
+        out, mu, var = build(None)
+        B, C, H, W = out.shape
+        n, m = B * H * W, BN_MOMENTUM
+        if n <= 1:
             raise NumericalError(
                 "batch norm in training mode needs more than one value "
                 f"per channel (got batch {B}, spatial {H}x{W})")
-
-    def track(self, mu, var, shape):
-        """In training mode, fold the statistics of a batch of ``shape``
-        into the running ones, which track the unbiased variance."""
-        if self.training:
-            self.check_batch(shape)
-            B, C, H, W = shape
-            n, m = B * H * W, BN_MOMENTUM
-            self.running_mean.data[...] = (
-                (1 - m) * self.running_mean.data + m * mu.reshape(C))
-            self.running_var.data[...] = (
-                (1 - m) * self.running_var.data
-                + m * var.reshape(C) * n / (n - 1))
+        self.running_mean.data[...] = (
+            (1 - m) * self.running_mean.data + m * mu.reshape(C))
+        self.running_var.data[...] = (
+            (1 - m) * self.running_var.data + m * var.reshape(C) * n / (n - 1))
+        return out
 
 
 class Conv2d(Module):
@@ -130,11 +121,9 @@ class ConvBN(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         conv, bn = self.conv, self.bn
-        out, mu, var = conv_norm(x, conv.weight, conv.bias, bn.gamma, bn.beta,
-                                 conv.stride, BN_EPS, bn.fixed_stats(),
-                                 self.relu)
-        bn.track(mu, var, out.shape)
-        return out
+        return bn.normalized(lambda stats: conv_norm(
+            x, conv.weight, conv.bias, bn.gamma, bn.beta, conv.stride, BN_EPS,
+            stats, self.relu))
 
 
 class MultiHeadAttention(Module):

@@ -1,8 +1,9 @@
 """Tiny parameter-container base class.
 
-Modules hold Tensors (parameters) and sub-modules as attributes; parameter
-discovery walks attributes in definition order so checkpoint files are
-stable. ``train()``/``eval()`` toggles batch-norm behaviour.
+Modules hold Tensors (parameters and buffers) and sub-modules as
+attributes. One walk over the attributes, in definition order, finds all
+three, so checkpoint files are stable. ``train()``/``eval()`` toggles
+batch-norm behaviour.
 
 ``pack_parameters()`` makes each parameter's ``data`` and ``grad`` views of
 two flat buffers, ``flat_data`` and ``flat_grad``; write them in place, as
@@ -22,8 +23,8 @@ class Module:
         self.training = True
 
     def named_parameters(self):
-        for key, value in vars(self).items():
-            yield from _walk(value, key, trainable=True)
+        return ((name, v) for name, v in _walk(self, "")
+                if isinstance(v, Tensor) and v.requires_grad)
 
     def pack_parameters(self):
         params = [p for _, p in self.named_parameters()]
@@ -40,18 +41,16 @@ class Module:
         self.flat_grad.fill(0.0)
 
     def train(self):
-        self._set_mode(True)
-        return self
+        return self._set_mode(True)
 
     def eval(self):
-        self._set_mode(False)
-        return self
+        return self._set_mode(False)
 
     def _set_mode(self, training: bool):
-        self.training = training
-        for _, value in vars(self).items():
-            for m in _submodules(value):
-                m._set_mode(training)
+        for _, v in _walk(self, ""):
+            if isinstance(v, Module):
+                v.training = training
+        return self
 
     def state(self):
         """Parameters plus non-trainable buffers (batch-norm running stats)."""
@@ -60,8 +59,8 @@ class Module:
         return out
 
     def named_buffers(self):
-        for key, value in vars(self).items():
-            yield from _walk(value, key, trainable=False)
+        return ((name, v) for name, v in _walk(self, "")
+                if isinstance(v, Tensor) and not v.requires_grad)
 
     def load_state(self, named_tensors):
         """Copy a checkpoint into the model. Every model entry must be in it,
@@ -85,23 +84,17 @@ class Module:
             current[name].data[...] = tensor.data
 
 
-def _submodules(value):
+def _walk(value, path):
+    """(path, value) for ``value`` if it is a Tensor or Module, then for every
+    Tensor and Module under its attributes and list items, in definition
+    order."""
+    if isinstance(value, (Tensor, Module)):
+        yield path, value
     if isinstance(value, Module):
-        yield value
+        items = vars(value).items()
     elif isinstance(value, (list, tuple)):
-        for v in value:
-            yield from _submodules(v)
-
-
-def _walk(value, name, trainable):
-    """(name, Tensor) pairs under one attribute, Tensors filtered by
-    ``requires_grad == trainable``."""
-    if isinstance(value, Tensor):
-        if value.requires_grad == trainable:
-            yield name, value
-    elif isinstance(value, Module):
-        for key, v in vars(value).items():
-            yield from _walk(v, f"{name}.{key}", trainable)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            yield from _walk(v, f"{name}.{i}", trainable)
+        items = enumerate(value)
+    else:
+        return
+    for key, v in items:
+        yield from _walk(v, f"{path}.{key}" if path else str(key))

@@ -1,5 +1,5 @@
-"""Supervised training: pixel cross-entropy, AdamW with a poly learning-rate
-schedule, and mean intersection-over-union evaluation."""
+"""Supervised training: pixel cross-entropy, AdamW with a linear (power-1
+poly) learning-rate decay, and mean intersection-over-union evaluation."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
     if not 0 <= iteration < cfg.iterations:
         raise UsageError(
             f"iteration {iteration} outside 0..{cfg.iterations - 1}")
-    return cfg.base_lr * (1.0 - iteration / cfg.iterations) ** cfg.poly_power
+    return cfg.base_lr * (1.0 - iteration / cfg.iterations)
 
 
 ADAM_BETA1 = 0.9

@@ -51,11 +51,30 @@ class TestDescribe:
         "image_height=0", "image_height=-64", "image_width=-128",
         "encoder_channels=0,1,2,3", "head_channels=0", "heads=0,1,1",
         "base_lr=nan", "base_lr=inf", "base_lr=0", "base_lr=-0.001",
-        "weight_decay=-0.01", "weight_decay=nan", "poly_power=-1",
-        "poly_power=inf"])
+        "weight_decay=-0.01", "weight_decay=nan", "seed=-1"])
     def test_out_of_range_value_exits_2(self, capsys, setting):
         assert main(["describe", "--set", setting]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--seed", "-1"], ["describe", "--set", "seed=-1"]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("key", ["poly_power", "encoder_blocks_per_stage"])
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, key, source):
+        if source == "file":
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"{key} = 1\n")
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--set", f"{key}=1"]
+        assert main(["describe"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "unknown config key" in err
 
     @pytest.mark.parametrize("args", [
         ["describe", "--set", "heads=3,1,1"],

@@ -79,8 +79,7 @@ CONFIGS = [
     desk(head_channels=48, num_classes=7),
     desk(heads=(1, 2, 4)),
     desk(attention_variant="self-on-concat", heads=(4, 1, 1)),
-    FullConfig(encoder=EncoderConfig(channels=(4, 8, 12, 16),
-                                     blocks_per_stage=2),
+    FullConfig(encoder=EncoderConfig(channels=(4, 8, 12, 16)),
                decoder=DecoderConfig(num_blocks=2, heads=(2, 2, 2))),
 ]
 

@@ -235,6 +235,18 @@ class TestConvBN:
         with pytest.raises(NumericalError):
             cb(Tensor(np.ones((1, 2, 1, 1))))
 
+    @pytest.mark.parametrize("layer", ["BatchNorm2d", "ConvBN"])
+    def test_one_value_per_channel_leaves_running_stats(self, layer):
+        module = BatchNorm2d(2) if layer == "BatchNorm2d" else ConvBN(2, 2, rng(3))
+        bn = module if layer == "BatchNorm2d" else module.bn
+        bn.running_mean.data[...] = [0.5, -0.25]
+        bn.running_var.data[...] = [2.0, 3.0]
+        module.train()
+        with pytest.raises(NumericalError, match="more than one value"):
+            module(Tensor(np.full((1, 2, 1, 1), 0.7)))
+        assert bn.running_mean.data.tolist() == [0.5, -0.25]
+        assert bn.running_var.data.tolist() == [2.0, 3.0]
+
     def test_training_mode_uses_batch_statistics(self):
         cb = ConvBN(2, 2, rng(4))
         cb.train()

@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import io
 import struct
 
 import numpy as np
 import pytest
 
-from scaseg import (ConfigError, DataError, Tensor, load_checkpoint,
-                    load_tensor, save_checkpoint, save_tensor, serialization)
+from scaseg import (ConfigError, DataError, DecoderConfig, EncoderConfig,
+                    SegModel, Tensor, load_checkpoint, load_tensor,
+                    save_checkpoint, save_tensor, serialization)
 from scaseg.config import (_SCHEMA, FullConfig, build_config, load_config,
                            parse_config_text)
+from scaseg.module import Module
 from scaseg.serialization import read_tensor, write_tensor
 
 
@@ -189,7 +192,8 @@ class TestConfigParsing:
                         for f in dataclasses.fields(getattr(cfg, section.name)))
         rows = sorted((section, name) for section, name, _ in _SCHEMA.values())
         assert rows == fields
-        for key in ("ase_embed_dim", "attention_bias"):
+        for key in ("ase_embed_dim", "attention_bias", "poly_power",
+                    "encoder_blocks_per_stage"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(f"{key} = 16\n")
             with pytest.raises(ConfigError, match="unknown config key"):
@@ -211,3 +215,35 @@ class TestConfigParsing:
         cfg = load_config(path, {"num_blocks": "4"})
         assert cfg.decoder.num_blocks == 4
         assert cfg.train.seed == 5
+
+
+def _modules(value):
+    """Every Module reachable from ``value`` through attributes and lists."""
+    if isinstance(value, Module):
+        yield value
+        for v in vars(value).values():
+            yield from _modules(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _modules(v)
+
+
+class TestModuleWalk:
+    def test_state_names_and_order_are_pinned(self):
+        # checkpoints store entries in this order; a change breaks old files
+        names = [name for name, _ in
+                 SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()]
+        assert len(names) == 356
+        assert names[0] == "encoder.stages.0.0.conv.weight"
+        assert names[-1] == "decoder.head.fuse.bn.running_var"
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+            "0b604586a0e5a7c4e5e7bf31c546a529ecb7875623e512db530132f6d7769b32")
+
+    def test_eval_and_train_reach_every_nested_module(self):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        modules = list(_modules(model))
+        assert len(modules) > 100
+        assert model.eval() is model
+        assert not any(m.training for m in modules)
+        assert model.train() is model
+        assert all(m.training for m in modules)

@@ -137,14 +137,10 @@ class TestCrossEntropy:
 
 class TestPolyLr:
     def test_endpoints_and_midpoint(self):
-        cfg = TrainConfig(iterations=100, base_lr=0.1, poly_power=1.0)
+        cfg = TrainConfig(iterations=100, base_lr=0.1)
         assert poly_lr(0, cfg) == 0.1
         assert abs(poly_lr(50, cfg) - 0.05) < 1e-15
         assert abs(poly_lr(99, cfg) - 0.001) < 1e-15
-
-    def test_power_shapes_the_curve(self):
-        cfg = TrainConfig(iterations=10, base_lr=1.0, poly_power=0.9)
-        assert abs(poly_lr(5, cfg) - 0.5 ** 0.9) < 1e-15
 
     def test_out_of_range_iteration(self):
         cfg = TrainConfig(iterations=10)
