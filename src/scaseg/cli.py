@@ -104,6 +104,9 @@ def cmd_forward(args) -> int:
     if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
         raise DataError(
             f"expected a (3, H, W) image tensor with H, W > 0, got {image.shape}")
+    if image.shape[2] % 64 or image.shape[3] % 64:
+        raise DataError(f"image size {image.shape[2]}x{image.shape[3]} "
+                        "must be divisible by 64")
     if not np.isfinite(image.data).all():
         raise DataError("image holds non-finite values (NaN or inf)")
     model.eval()

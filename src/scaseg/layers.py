@@ -84,10 +84,11 @@ class BatchNorm2d(Module):
             raise NumericalError(
                 "batch norm in training mode needs more than one value "
                 f"per channel (got batch {B}, spatial {H}x{W})")
-        self.running_mean.data[...] = (
-            (1 - m) * self.running_mean.data + m * mu.reshape(C))
-        self.running_var.data[...] = (
-            (1 - m) * self.running_var.data + m * var.reshape(C) * n / (n - 1))
+        rm, rv = self.running_mean.data, self.running_var.data
+        rm *= 1 - m
+        rm += m * mu.reshape(C)
+        rv *= 1 - m
+        rv += m * var.reshape(C) * n / (n - 1)
         return out
 
 

@@ -12,10 +12,16 @@ default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
 ``conv_norm`` node chains both, normalizing the conv output in place.
-``bilinear_resize`` is the one-part case of ``resize_concat``.
+``bilinear_resize`` is the one-part case of ``resize_concat``; its
+interpolation matrices are cached per (source, target) size pair and are
+read-only.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -24,6 +30,9 @@ from .errors import ShapeError, UsageError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# dtype instances, so the membership test converts no scalar type per call;
+# a float array in non-native byte order is not a member and is converted
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # graph recording switch; decoder.SegModel.__call__ clears it in eval mode
 _record = [True]
 
@@ -46,7 +55,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
@@ -209,7 +218,7 @@ class Tensor:
 
     def permute(self, *axes):
         a = self
-        inv = np.argsort(axes)
+        inv = sorted(range(len(axes)), key=axes.__getitem__)
         return Tensor._from_op(self.data.transpose(axes), (a,),
                                lambda g: (g.transpose(inv),))
 
@@ -308,7 +317,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g2, x2 = g.reshape(-1, d_out), x.data.reshape(-1, d_in)
         gw = x2.T @ g2 if w.ndim == 2 else (g2.T @ x2).reshape(w.shape)
-        return np.matmul(g, wm.T), gw, g2.sum(axis=0)
+        return np.matmul(g, wm.T), gw, np.add.reduce(g2, 0)
 
     return Tensor._from_op(out, (x, w, b), backward)
 
@@ -334,14 +343,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dk)
     p = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.maximum.reduce(p, -1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, -1, keepdims=True)
 
     def backward(g):
         gh = split(g)
         dp = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+        ds = (dp - np.add.reduce(dp * p, -1, keepdims=True)) * p * scale
         return (merge(np.matmul(ds, kh)),
                 merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)),
                 merge(np.matmul(p.transpose(0, 1, 3, 2), gh)))
@@ -367,20 +376,22 @@ def depthwise_tokens(x: Tensor, grid, w: Tensor, b: Tensor) -> Tensor:
     taps = w.data[:, 0].transpose(1, 2, 0)  # (k, k, C)
     live = [(i, j) for i in range(k) for j in range(k)
             if abs(i - p) < h and abs(j - p) < wd]
-    out = np.zeros_like(xm)
+    out = np.zeros(xm.shape, xm.dtype)
     for i, j in live:
         out += xp[:, i:i + h, j:j + wd] * taps[i, j]
     out += b.data
 
     def backward(g):
         gm = g.reshape(xm.shape)
-        gxp, gtaps = np.zeros_like(xp), np.zeros_like(taps)
+        gxp = np.zeros(xp.shape, xp.dtype)
+        gtaps = np.zeros(taps.shape, taps.dtype)
         for i, j in live:
             gxp[:, i:i + h, j:j + wd] += gm * taps[i, j]
-            gtaps[i, j] = (gm * xp[:, i:i + h, j:j + wd]).reshape(-1, C).sum(axis=0)
+            gtaps[i, j] = np.add.reduce(
+                (gm * xp[:, i:i + h, j:j + wd]).reshape(-1, C), 0)
         return (gxp[:, p:p + h, p:p + wd].reshape(x.shape),
                 gtaps.transpose(2, 0, 1).reshape(w.shape),
-                gm.reshape(-1, C).sum(axis=0))
+                np.add.reduce(gm.reshape(-1, C), 0))
 
     return Tensor._from_op(out.reshape(x.shape), (x, w, b), backward)
 
@@ -425,11 +436,12 @@ def _check_axis(x: Tensor, axis: int):
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    ends = list(accumulate(t.shape[axis] for t in tensors))
+    lead = (slice(None),) * (axis % out_data.ndim)
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(g[(*lead, slice(e - t.shape[axis], e))]
+                     for t, e in zip(tensors, ends))
 
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
@@ -442,10 +454,10 @@ def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
     pshape[channel_axis] = gamma.size
     g = gamma.reshape(pshape)
     if stats is None:
-        n = int(np.prod([x.shape[a] for a in axes]))
-        mean = x.sum(axis=axes, keepdims=True) * (1.0 / n)
+        n = math.prod([x.shape[a] for a in axes])
+        mean = np.add.reduce(x, axes, keepdims=True) * (1.0 / n)
         d = np.add(x, -mean, out=x if inplace else None)
-        var = (d * d).sum(axis=axes, keepdims=True) * (1.0 / n)
+        var = np.add.reduce(d * d, axes, keepdims=True) * (1.0 / n)
         inv = (var + eps) ** -0.5
     else:
         mean, var = stats
@@ -454,20 +466,22 @@ def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
     xhat = np.multiply(d, inv, out=d)
     out = xhat * g
     out += beta.reshape(pshape)
-    param_axes = tuple(i for i in range(x.ndim) if pshape[i] == 1)
 
     def backward(gout):
+        param_axes = tuple(i for i in range(gout.ndim) if pshape[i] == 1)
         gxhat = gout * g
         scratch = gout * xhat
-        ggamma = scratch.sum(axis=param_axes).reshape(gamma.shape)
+        ggamma = np.add.reduce(scratch, param_axes).reshape(gamma.shape)
         if stats is None:
-            # d/dx of xhat, with mean and var functions of x
-            m1 = gxhat.mean(axis=axes, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=axes, keepdims=True)
+            # d/dx of xhat, with mean and var functions of x; sum / n is
+            # exactly what ndarray.mean computes
+            m1 = np.add.reduce(gxhat, axes, keepdims=True) / n
+            m2 = np.add.reduce(gxhat * xhat, axes, keepdims=True) / n
             gxhat -= m1
             gxhat -= np.multiply(xhat, m2, out=scratch)
         gxhat *= inv
-        return gxhat, ggamma, gout.sum(axis=param_axes).reshape(beta.shape)
+        return (gxhat, ggamma,
+                np.add.reduce(gout, param_axes).reshape(beta.shape))
 
     return out, backward, mean, var
 
@@ -509,7 +523,8 @@ def _conv2d(x, w, b, stride, need_gx):
     if pointwise:
         cols = np.ascontiguousarray(x).reshape(B, k, Ho * Wo)
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        xp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
+        xp[:, :, p:p + H, p:p + W] = x
         cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -521,7 +536,7 @@ def _conv2d(x, w, b, stride, need_gx):
 
     def backward(g):
         g3 = g.reshape(B, C_out, Ho * Wo)
-        gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
+        gw = np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), 0)
         gx = None
         if need_gx:
             gcols = np.matmul(w2.T, g3)
@@ -534,7 +549,7 @@ def _conv2d(x, w, b, stride, need_gx):
                     for j in range(kw):
                         gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
                 gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-        return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+        return gx, gw.reshape(w.shape), np.add.reduce(g, (0, 2, 3))
 
     return out, backward
 
@@ -600,7 +615,7 @@ def resize_concat(parts, target) -> Tensor:
     size, so no resized part is kept. The backward resizes each slice of
     the gradient back, ``ryᵀ @ g_i @ rx``."""
     Ht, Wt = target
-    ends = np.cumsum([p.shape[1] for p in parts])
+    ends = list(accumulate(p.shape[1] for p in parts))
     out = np.empty((parts[0].shape[0], ends[-1], Ht, Wt))
     mats = []
     for p, e in zip(parts, ends):
@@ -615,14 +630,17 @@ def resize_concat(parts, target) -> Tensor:
             mats.append((ry, rx))
 
     def backward(g):
-        return tuple(gp if m is None else m[0].T @ gp @ m[1] for m, gp in
-                     zip(mats, np.split(g, ends[:-1], axis=1)))
+        gps = (g[:, e - p.shape[1]:e] for p, e in zip(parts, ends))
+        return tuple(gp if m is None else m[0].T @ gp @ m[1]
+                     for m, gp in zip(mats, gps))
 
     return Tensor._from_op(out, tuple(parts), backward)
 
 
+@functools.cache
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
-    """(dst, src) interpolation matrix for one resize axis.
+    """(dst, src) interpolation matrix for one resize axis, built once per
+    size pair and shared, so it is read-only.
 
     Row d puts 1 - frac on tap lo and frac on tap hi; at a clamped border
     lo == hi and the two weights sum to 1 in the same cell.
@@ -636,4 +654,5 @@ def _resize_matrix(src: int, dst: int) -> np.ndarray:
     m = np.zeros((dst, src))
     m[rows, lo] = 1.0 - frac
     m[rows, hi] += frac
+    m.flags.writeable = False
     return m

@@ -202,6 +202,7 @@ def train_loop(model: Module, train_set: list[SyntheticSample],
             model.zero_grad()
             loss.backward()
             optimizer.step(lr)
+            del logits, loss  # free this step's graph before the next forward
 
             is_eval = ((iteration + 1) % cfg.eval_interval == 0
                        or iteration == cfg.iterations - 1)

@@ -112,6 +112,15 @@ class TestForward:
         save_tensor(inp, Tensor(np.zeros((4, 64, 64))))
         assert main(["forward", str(inp), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("size", [96, 32])
+    def test_size_not_a_multiple_of_64_exits_3(self, tmp_path, capsys, size):
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, size, size))))
+        out = tmp_path / "out"
+        assert main(["forward", str(inp), "--out", str(out)] + TINY) == 3
+        assert f"{size}x{size} must be divisible by 64" in capsys.readouterr().err
+        assert not (out / "logits.tsr").exists()
+
     @pytest.mark.parametrize("shape", [(3, 0, 64), (3, 64, 0), (0, 3, 64, 64)])
     def test_empty_image_exits_3(self, tmp_path, capsys, shape):
         inp = tmp_path / "empty.tsr"

@@ -7,7 +7,8 @@ from scaseg import (BatchNorm2d, ConfigError, Conv2d, ConvBN, DecoderConfig,
                     NumericalError, RandomSource, SegModel, ShapeError, Tensor,
                     TrainConfig, bilinear_resize, cross_entropy,
                     gen_synthetic_dataset, gradient_check)
-from scaseg.layers import BN_EPS
+from scaseg.layers import BN_EPS, BN_MOMENTUM
+from scaseg.tensor import normalize
 
 
 def rng(seed=0):
@@ -246,6 +247,22 @@ class TestConvBN:
             module(Tensor(np.full((1, 2, 1, 1), 0.7)))
         assert bn.running_mean.data.tolist() == [0.5, -0.25]
         assert bn.running_var.data.tolist() == [2.0, 3.0]
+
+    def test_running_stats_update_is_the_momentum_formula(self):
+        g = np.random.default_rng(8)
+        bn = BatchNorm2d(16)
+        rm, rv = g.normal(size=16), g.random(size=16) + 0.5
+        bn.running_mean.data[...] = rm
+        bn.running_var.data[...] = rv
+        x = Tensor(g.normal(size=(2, 16, 3, 5)))
+        _, mu, var = normalize(x, bn.gamma, bn.beta, (0, 2, 3), 1, BN_EPS)
+        bn.train()
+        bn(x)
+        m, n = BN_MOMENTUM, 2 * 3 * 5
+        assert np.array_equal(bn.running_mean.data,
+                              (1 - m) * rm + m * mu.reshape(16))
+        assert np.array_equal(bn.running_var.data,
+                              (1 - m) * rv + m * var.reshape(16) * n / (n - 1))
 
     def test_training_mode_uses_batch_statistics(self):
         cb = ConvBN(2, 2, rng(4))

@@ -5,8 +5,8 @@ from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     bilinear_resize, concat, conv2d, gradient_check,
                     log_softmax, matmul, softmax)
 from scaseg.layers import map_from_tokens, tokens_from_map
-from scaseg.tensor import (attention, conv_norm, depthwise_tokens, linear,
-                           normalize, resize_concat)
+from scaseg.tensor import (_resize_matrix, attention, conv_norm,
+                           depthwise_tokens, linear, normalize, resize_concat)
 
 
 class TestMatmul:
@@ -465,6 +465,75 @@ class TestOneNodePrimitives:
         for w_shape in ((2, 4, 3, 1), (2, 2, 3, 3)):  # not square; 2 != 4 channels
             with pytest.raises(ShapeError):
                 conv2d(image, Tensor(np.zeros(w_shape)), b)
+
+
+class TestKernelsMatchOldFormulation:
+    """The kernels after their per-call trimming against the numpy
+    formulation they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_padded_conv2d_is_np_pad_im2col(self, stride):
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(2, 3, 9, 8))
+        w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv2d(xt, wt, bt, stride=stride)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+
+        B, _, Ho, Wo = out.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        cols = np.empty((B, 3, 3, 3, Ho, Wo))
+        for i in range(3):
+            for j in range(3):
+                cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride,
+                                      j:j + stride * Wo:stride]
+        cols = cols.reshape(B, 27, Ho * Wo)
+        ref = np.matmul(w.reshape(4, 27), cols).reshape(out.shape)
+        ref += b.reshape(1, 4, 1, 1)
+        g3 = g.reshape(B, 4, Ho * Wo)
+        ref_gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
+        assert np.array_equal(out.data, ref)
+        assert np.array_equal(wt.grad, ref_gw.reshape(w.shape))
+        assert np.array_equal(bt.grad, g.sum(axis=(0, 2, 3)))
+
+    def test_resize_matrix_is_cached_and_read_only(self):
+        m = _resize_matrix(5, 3)
+        assert _resize_matrix(5, 3) is m
+        assert np.array_equal(m, _resize_matrix.__wrapped__(5, 3))
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,axes,channel_axis", [
+        ((4, 3, 5, 6), (0, 2, 3), 1), ((2, 7, 5), (-1,), -1)],
+        ids=["batch-norm", "layer-norm"])
+    def test_normalize_backward_is_ndarray_mean_form(self, shape, axes,
+                                                     channel_axis):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape)
+        C = shape[channel_axis]
+        gamma, beta = rng.normal(size=C), rng.normal(size=C)
+        gout = rng.normal(size=shape)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = normalize(*leaves, axes, channel_axis, 1e-5)[0]
+        (out * Tensor(gout)).sum().backward()
+
+        pshape = [1] * len(shape)
+        pshape[channel_axis] = C
+        n = int(np.prod([shape[a] for a in axes]))
+        d = x - x.sum(axis=axes, keepdims=True) * (1.0 / n)
+        inv = ((d * d).sum(axis=axes, keepdims=True) * (1.0 / n) + 1e-5) ** -0.5
+        xhat = d * inv
+        param_axes = tuple(i for i in range(len(shape)) if pshape[i] == 1)
+        gxhat = gout * gamma.reshape(pshape)
+        gx = (gxhat - gxhat.mean(axis=axes, keepdims=True)
+              - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True)) * inv
+        assert np.array_equal(out.data,
+                              xhat * gamma.reshape(pshape) + beta.reshape(pshape))
+        assert np.array_equal(leaves[0].grad, gx)
+        assert np.array_equal(leaves[1].grad, (gout * xhat).sum(axis=param_axes))
+        assert np.array_equal(leaves[2].grad, gout.sum(axis=param_axes))
 
 
 class TestFiniteness:

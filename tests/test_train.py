@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -439,6 +440,24 @@ class TestTrainLoop:
         model, tr, va, cfg = tiny_setup()  # 4 iterations, eval_interval 2
         train_loop(model, tr, va, cfg, checkpoint_path=tmp_path / "m.ckpt")
         assert len(saved) == 2
+
+    def test_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        # Tensor has no __weakref__ slot; the output's array stands for it
+        refs, alive = [], []
+        forward = SegModel.__call__
+
+        def spy(model, image):
+            if not model.training:
+                return forward(model, image)
+            alive.extend(r() is not None for r in refs)
+            refs.clear()
+            out = forward(model, image)
+            refs.append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(SegModel, "__call__", spy)
+        model, tr, va, cfg = tiny_setup(iterations=3)
+        train_loop(model, tr, va, cfg)
+        assert alive == [False, False]
 
     def test_identical_seeds_give_identical_rows(self):
         runs = []
