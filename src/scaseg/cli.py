@@ -45,7 +45,10 @@ def _load(args) -> FullConfig:
 
 def _out_dir(args) -> str:
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use --out {out!r}: {exc}") from None
     return out
 
 
@@ -84,8 +87,8 @@ def write_ppm(path, mask: np.ndarray) -> None:
 def cmd_describe(args) -> int:
     cfg = _load(args)
     report = cost_report(cfg)
-    print(report.to_text())
     _write_csv(args, "describe.csv", report.to_csv())
+    print(report.to_text())
     return 0
 
 
@@ -101,12 +104,6 @@ def cmd_forward(args) -> int:
     image = load_tensor(args.input)
     if image.ndim == 3:
         image = image.reshape(1, *image.shape)
-    if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
-        raise DataError(
-            f"expected a (3, H, W) image tensor with H, W > 0, got {image.shape}")
-    if image.shape[2] % 64 or image.shape[3] % 64:
-        raise DataError(f"image size {image.shape[2]}x{image.shape[3]} "
-                        "must be divisible by 64")
     if not np.isfinite(image.data).all():
         raise DataError("image holds non-finite values (NaN or inf)")
     model.eval()
@@ -162,8 +159,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load(args)
     table = ablation_table(cfg, args.axis)
-    print(table.to_text())
     _write_csv(args, f"ablate_{args.axis}.csv", table.to_csv())
+    print(table.to_text())
     if args.train:
         print("\nsetting,val_miou")
         for setting, dec_cfg in variants_for_axis(args.axis, cfg):

@@ -6,7 +6,7 @@ Unknown keys are rejected before any computation happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -112,26 +112,14 @@ def _int_list(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split(","))
 
 
-# key -> (section, field, parser)
-_SCHEMA = {
-    "image_height": ("encoder", "height", int),
-    "image_width": ("encoder", "width", int),
-    "encoder_channels": ("encoder", "channels", _int_list),
-    "num_blocks": ("decoder", "num_blocks", int),
-    "heads": ("decoder", "heads", _int_list),
-    "attention_variant": ("decoder", "attention_variant", str),
-    "scm_variant": ("decoder", "scm_variant", str),
-    "head_channels": ("decoder", "head_channels", int),
-    "num_classes": ("decoder", "num_classes", int),
-    "iterations": ("train", "iterations", int),
-    "batch_size": ("train", "batch_size", int),
-    "base_lr": ("train", "base_lr", float),
-    "weight_decay": ("train", "weight_decay", float),
-    "seed": ("train", "seed", int),
-    "train_samples": ("train", "train_samples", int),
-    "val_samples": ("train", "val_samples", int),
-    "eval_interval": ("train", "eval_interval", int),
-}
+# key -> (section, field, parser): one key per field of FullConfig's
+# sections, named after the field except where a rename says otherwise
+_KEY_NAMES = {"height": "image_height", "width": "image_width",
+              "channels": "encoder_channels"}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _int_list}
+_SCHEMA = {_KEY_NAMES.get(f.name, f.name): (section.name, f.name, _PARSERS[f.type])
+           for section in fields(FullConfig)
+           for f in fields(section.default_factory)}
 
 
 def parse_config_text(text: str) -> dict:

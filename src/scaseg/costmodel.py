@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from .config import (ATTENTION_VARIANTS, SCM_VARIANTS, DecoderConfig,
                      EncoderConfig, FullConfig)
 from .errors import ConfigError
+from .layers import MixFFN
 
 
 def _table_text(header: str, rows) -> str:
@@ -90,7 +91,7 @@ def _attention(report, path, kv_dim, q_dim, n_q, n_kv):
 
 
 def _mix_ffn(report, path, channels, h, w):
-    hidden = 4 * channels
+    hidden = MixFFN.EXPANSION * channels
     _conv(report, f"{path}.fc1", channels, hidden, 1, h, w)
     _conv(report, f"{path}.dw", 1, hidden, 3, h, w)
     report.add(f"{path}.gelu", 0, 0)

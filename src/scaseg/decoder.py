@@ -11,6 +11,7 @@ semantics are the last block's outputs at levels 2..4.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import tensor
@@ -57,12 +58,12 @@ class ScaStage(Module):
         self.ln_ffn = LayerNorm(q_dim)
         self.ffn = MixFFN(q_dim, rng.spawn(2))
 
-    def __call__(self, kv: Tensor, q: Tensor, spatial):
+    def __call__(self, kv: Tensor, q: Tensor, grid):
         if kv.shape[-2] != q.shape[-2]:
             raise ShapeError(
                 f"token counts disagree: kv {kv.shape} vs q {q.shape}")
         a = self.attn(self.ln_kv(kv), self.ln_q(q)) + q
-        return self.ffn(self.ln_ffn(a), spatial) + a
+        return self.ffn(self.ln_ffn(a), grid) + a
 
 
 class AggregatedSemanticsExtractor(Module):
@@ -115,13 +116,9 @@ class SelfOnConcatExtractor(Module):
         x = concat(r.tokens(), axis=-1)
         for block in self.blocks:
             x = block(x, x, r.grid)
-        # split channels back; the lowest-level slice is dropped
-        out = []
-        offset = 0
-        for c in self.channels:
-            out.append(x[:, :, offset:offset + c])
-            offset += c
-        return tuple(out[1:])
+        # split channels back into levels 2..4; level 1's slice is dropped
+        ends = tuple(itertools.accumulate(self.channels))
+        return tuple(x[:, :, a:b] for a, b in zip(ends, ends[1:]))
 
 
 class SemanticCombiner(Module):

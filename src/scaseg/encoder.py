@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EncoderConfig
-from .errors import ConfigError
+from .errors import DataError
 from .layers import ConvBN
 from .module import Module
 from .rng import RandomSource
@@ -46,12 +46,12 @@ class Encoder(Module):
         self.stages = stages
 
     def __call__(self, image: Tensor) -> FeaturePyramid:
-        if image.ndim != 4 or image.shape[1] != 3:
-            raise ConfigError(f"encoder expects (B, 3, H, W), got {image.shape}")
+        if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
+            raise DataError(f"expected a (B, 3, H, W) image with B, H, W > 0, "
+                            f"got {image.shape}")
         _, _, H, W = image.shape
         if H % 64 or W % 64:
-            raise ConfigError(
-                f"input size {H}x{W} must be divisible by 64")
+            raise DataError(f"image size {H}x{W} must be divisible by 64")
         feats = []
         x = image
         for blocks in self.stages:

@@ -141,8 +141,6 @@ class MultiHeadAttention(Module):
         super().__init__()
         if q_dim % heads != 0:
             raise ConfigError(f"query dim {q_dim} not divisible by {heads} heads")
-        self.kv_dim = kv_dim
-        self.q_dim = q_dim
         self.heads = heads
         self.w_q = Linear(q_dim, q_dim, rng.spawn(1))
         self.w_k = Linear(kv_dim, q_dim, rng.spawn(2))
@@ -151,10 +149,6 @@ class MultiHeadAttention(Module):
         self.last_attention = None  # latest attention weights, (B, h, n_q, n_kv)
 
     def __call__(self, kv_src: Tensor, q_src: Tensor) -> Tensor:
-        if kv_src.shape[-1] != self.kv_dim or q_src.shape[-1] != self.q_dim:
-            raise ShapeError(
-                f"attention configured for kv={self.kv_dim}, q={self.q_dim}; "
-                f"got {kv_src.shape} and {q_src.shape}")
         out, self.last_attention = attention(
             self.w_q(q_src), self.w_k(kv_src), self.w_v(kv_src), self.heads)
         return self.w_o(out)
@@ -173,9 +167,9 @@ class MixFFN(Module):
         self.dw = Conv2d(1, hidden, 3, rng.spawn(2), init_std=np.sqrt(2.0 / 9))
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
-    def __call__(self, x: Tensor, spatial) -> Tensor:
+    def __call__(self, x: Tensor, grid) -> Tensor:
         hidden = linear(x, self.fc1.weight, self.fc1.bias)
-        hidden = depthwise_tokens(hidden, spatial, self.dw.weight, self.dw.bias)
+        hidden = depthwise_tokens(hidden, grid, self.dw.weight, self.dw.bias)
         return linear(hidden.gelu(), self.fc2.weight, self.fc2.bias)
 
 
@@ -185,9 +179,9 @@ def tokens_from_map(x: Tensor) -> Tensor:
     return x.permute(0, 2, 3, 1).reshape(B, H * W, C)
 
 
-def map_from_tokens(x: Tensor, spatial) -> Tensor:
+def map_from_tokens(x: Tensor, grid) -> Tensor:
     """(B, N, C) -> (B, C, h, w)."""
-    h, w = int(spatial[0]), int(spatial[1])
+    h, w = int(grid[0]), int(grid[1])
     B, n, c = x.shape
     if n != h * w:
         raise ShapeError(f"{n} tokens cannot form a {h}x{w} grid")

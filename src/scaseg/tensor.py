@@ -224,17 +224,10 @@ class Tensor:
 
     # -- reductions -----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
         a = self
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g2, a.shape).copy(),)
-
-        return Tensor._from_op(out_data, (a,), backward)
+        return Tensor._from_op(self.data.sum(), (a,),
+                               lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
     # -- elementwise nonlinearities --------------------------------------------
 

@@ -202,6 +202,17 @@ def test_unreadable_file_exits_with_its_code(tmp_path, capsys, case, code):
     assert "cannot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,sub", [("describe", None), ("train", "sub")])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    out = blocker if sub is None else blocker / sub
+    assert main([command, "--out", str(out)] + TINY) == 2
+    captured = capsys.readouterr()
+    assert "usage error: cannot use --out" in captured.err
+    assert captured.out == ""
+
+
 class TestTrain:
     def _run(self, tmp_path, name, seed):
         out = tmp_path / name

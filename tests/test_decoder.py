@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scaseg import (ConfigError, Decoder, DecoderConfig, Encoder,
+from scaseg import (ConfigError, DataError, Decoder, DecoderConfig, Encoder,
                     EncoderConfig, RandomSource, ScaStage, SegModel, Tensor,
                     UsageError, cross_entropy, resize_pyramid)
 from scaseg.encoder import FeaturePyramid
@@ -277,7 +277,7 @@ class TestEvalRecordsNoGraph:
 
     def test_failed_eval_forward_leaves_training_graphed(self):
         model = SegModel(EncoderConfig(), DecoderConfig(), seed=5).eval()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             model(Tensor(np.zeros((1, 3, 96, 96))))
         model.train()
         g = np.random.default_rng(11)

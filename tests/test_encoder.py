@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scaseg import (ConfigError, Encoder, EncoderConfig, RandomSource, Tensor)
+from scaseg import (ConfigError, DataError, DecoderConfig, Encoder,
+                    EncoderConfig, RandomSource, SegModel, Tensor)
 
 
 def make_encoder(seed=0, **kwargs):
@@ -33,7 +34,7 @@ class TestShapes:
 
 class TestValidation:
     def test_indivisible_input_rejected(self):
-        with pytest.raises(ConfigError, match="64"):
+        with pytest.raises(DataError, match="64"):
             make_encoder()(Tensor(np.zeros((1, 3, 60, 64))))
 
     def test_non_increasing_channels_rejected(self):
@@ -41,9 +42,23 @@ class TestValidation:
             EncoderConfig(channels=(8, 8, 16, 32)).validate()
 
     def test_wrong_channel_count_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             Encoder(EncoderConfig(), RandomSource(0))(
                 Tensor(np.zeros((1, 4, 64, 64))))
+
+    @pytest.mark.parametrize("shape,match", [
+        ((1, 4, 64, 64), "B, 3, H, W"),
+        ((0, 3, 64, 64), "B, H, W > 0"),
+        ((1, 3, 0, 64), "B, H, W > 0"),
+        ((1, 3, 96, 96), "96x96 must be divisible by 64")])
+    @pytest.mark.parametrize("caller", ["encoder", "eval-model"])
+    def test_bad_image_is_data_error(self, shape, match, caller):
+        if caller == "encoder":
+            fn = make_encoder()
+        else:
+            fn = SegModel(EncoderConfig(), DecoderConfig(), seed=0).eval()
+        with pytest.raises(DataError, match=match):
+            fn(Tensor(np.zeros(shape)))
 
 
 class TestBehaviour:

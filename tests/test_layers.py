@@ -112,6 +112,15 @@ class TestMultiHeadAttention:
         out = mha(Tensor(g.normal(size=(4, 3))), Tensor(g.normal(size=(5, 8))))
         assert out.shape == (5, 8)
 
+    @pytest.mark.parametrize("kv_width,q_width,expected", [(4, 8, 3), (3, 6, 8)])
+    def test_wrong_input_width_is_shape_error(self, kv_width, q_width,
+                                              expected):
+        mha = MultiHeadAttention(3, 8, rng(6), heads=4)
+        g = np.random.default_rng(9)
+        with pytest.raises(ShapeError, match=f"last dim {expected}"):
+            mha(Tensor(g.normal(size=(4, kv_width))),
+                Tensor(g.normal(size=(5, q_width))))
+
     def test_indivisible_heads_is_config_error(self):
         with pytest.raises(ConfigError):
             MultiHeadAttention(4, 6, rng(7), heads=4)

@@ -9,8 +9,8 @@ import pytest
 from scaseg import (ConfigError, DataError, DecoderConfig, EncoderConfig,
                     SegModel, Tensor, load_checkpoint, load_tensor,
                     save_checkpoint, save_tensor, serialization)
-from scaseg.config import (_SCHEMA, FullConfig, build_config, load_config,
-                           parse_config_text)
+from scaseg.config import (_SCHEMA, FullConfig, _int_list, build_config,
+                           load_config, parse_config_text)
 from scaseg.module import Module
 from scaseg.serialization import read_tensor, write_tensor
 
@@ -198,6 +198,27 @@ class TestConfigParsing:
                 parse_config_text(f"{key} = 16\n")
             with pytest.raises(ConfigError, match="unknown config key"):
                 build_config({}, {key: "16"})
+
+    def test_keys_and_parsers_are_pinned(self):
+        assert _SCHEMA == {
+            "image_height": ("encoder", "height", int),
+            "image_width": ("encoder", "width", int),
+            "encoder_channels": ("encoder", "channels", _int_list),
+            "num_blocks": ("decoder", "num_blocks", int),
+            "heads": ("decoder", "heads", _int_list),
+            "attention_variant": ("decoder", "attention_variant", str),
+            "scm_variant": ("decoder", "scm_variant", str),
+            "head_channels": ("decoder", "head_channels", int),
+            "num_classes": ("decoder", "num_classes", int),
+            "iterations": ("train", "iterations", int),
+            "batch_size": ("train", "batch_size", int),
+            "base_lr": ("train", "base_lr", float),
+            "weight_decay": ("train", "weight_decay", float),
+            "seed": ("train", "seed", int),
+            "train_samples": ("train", "train_samples", int),
+            "val_samples": ("train", "val_samples", int),
+            "eval_interval": ("train", "eval_interval", int),
+        }
 
     def test_bad_typed_value(self):
         with pytest.raises(ConfigError, match="num_blocks"):
