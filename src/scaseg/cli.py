@@ -52,11 +52,24 @@ def _out_dir(args) -> str:
     return out
 
 
+def _out_file(args, name: str) -> str:
+    """The path of ``name`` in the ``--out`` directory, refused before any
+    work runs if a directory is in its place."""
+    path = os.path.join(_out_dir(args), name)
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path!r}: it is a directory")
+    return path
+
+
 def _write_csv(args, name: str, text: str) -> None:
     """Write ``text`` to ``name`` in the ``--out`` directory, if one is given."""
     if args.out:
-        with open(os.path.join(_out_dir(args), name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        path = _out_file(args, name)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
 def _build_model(cfg: FullConfig) -> SegModel:
@@ -98,6 +111,8 @@ def cmd_forward(args) -> int:
         raise ConfigError(
             f"the mask is drawn with the {len(PALETTE)}-colour palette: "
             f"at most {len(PALETTE)} classes, got {cfg.decoder.num_classes}")
+    logits_path = _out_file(args, "logits.tsr")
+    mask_path = _out_file(args, "mask.ppm")
     model = _build_model(cfg)
     if args.checkpoint:
         model.load_state(load_checkpoint(args.checkpoint))
@@ -108,20 +123,17 @@ def cmd_forward(args) -> int:
         raise DataError("image holds non-finite values (NaN or inf)")
     model.eval()
     logits = model(image)
-    out = _out_dir(args)
-    save_tensor(os.path.join(out, "logits.tsr"), logits)
-    mask = logits.data.argmax(axis=1)[0]
-    write_ppm(os.path.join(out, "mask.ppm"), mask)
-    print(f"logits shape {logits.shape} written to {out}")
+    save_tensor(logits_path, logits)
+    write_ppm(mask_path, logits.data.argmax(axis=1)[0])
+    print(f"logits shape {logits.shape} written to {_out_dir(args)}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args)
     rows, final_miou = _train_and_evaluate(
-        cfg, metrics_path=os.path.join(out, "metrics.csv"),
-        checkpoint_path=os.path.join(out, "checkpoint.ckpt"),
+        cfg, metrics_path=_out_file(args, "metrics.csv"),
+        checkpoint_path=_out_file(args, "checkpoint.ckpt"),
         log_fn=print if args.verbose else None)
     print(f"final val mIoU {final_miou:.4f} over {len(rows) - 1} iterations")
     return 0

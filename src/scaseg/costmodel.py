@@ -142,13 +142,19 @@ def _decoder_costs(report, channels, cfg: DecoderConfig, H, W):
         report.add(f"decoder.scm.{j}.combine", 0, 0)
 
     ch = cfg.head_channels
-    h4, w4 = H // 4, W // 4
+    pixels = 0
     for i, c in enumerate(channels):
         fh, fw = H // 2 ** (i + 2), W // 2 ** (i + 2)
         _conv_bn(report, f"decoder.head.projs.{i}", c, ch, 1, fh, fw)
         report.add(f"decoder.head.projs.{i}.upsample", 0, 0)
-    _conv_bn(report, "decoder.head.fuse", 4 * ch, ch, 1, h4, w4)
-    _conv(report, "decoder.head.classifier", ch, cfg.num_classes, 1, h4, w4)
+        pixels += fh * fw
+    # the fuse applies each projection's ch x ch weight block at that
+    # projection's own size and upsamples the result, so its MACs are
+    # ch * ch per pixel summed over the four levels, not 4ch * ch at F_1's size
+    report.add("decoder.head.fuse.conv", 4 * ch * ch + ch, ch * ch * pixels)
+    _norm(report, "decoder.head.fuse.bn", ch)
+    _conv(report, "decoder.head.classifier", ch, cfg.num_classes, 1,
+          H // 4, W // 4)
     report.add("decoder.head.upsample", 0, 0)
 
 

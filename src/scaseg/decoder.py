@@ -22,7 +22,7 @@ from .layers import (ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention,
                      map_from_tokens, tokens_from_map)
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, bilinear_resize, concat, resize_concat
+from .tensor import Tensor, bilinear_resize, concat
 
 
 @dataclass
@@ -152,9 +152,10 @@ class SemanticCombiner(Module):
 
 
 class SegmentationHead(Module):
-    """Project, fuse, and classify the enhanced features plus F_1. The four
-    projections are resized to F_1's size and concatenated by one
-    ``resize_concat`` node."""
+    """Project, fuse, and classify the enhanced features plus F_1. The fuse
+    convolves the concat of the four projections resized to F_1's size, as
+    one node that applies each projection's weight block at its own size,
+    then resizes and sums, and never builds the concat."""
 
     def __init__(self, channels, head_channels: int, num_classes: int,
                  rng: RandomSource):
@@ -169,8 +170,7 @@ class SegmentationHead(Module):
 
     def __call__(self, f1: Tensor, enhanced, out_size) -> Tensor:
         parts = [proj(x) for proj, x in zip(self.projs, (f1, *enhanced))]
-        fused = self.fuse(resize_concat(parts, f1.shape[2:]))
-        logits = self.classifier(fused)
+        logits = self.classifier(self.fuse(parts))
         return bilinear_resize(logits, out_size)
 
 

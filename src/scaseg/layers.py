@@ -111,7 +111,9 @@ class Conv2d(Module):
 
 class ConvBN(Module):
     """1x1 (or kxk) convolution followed by batch normalization and an
-    optional ReLU, as one ``conv_norm`` node."""
+    optional ReLU, as one ``conv_norm`` node. A 1x1 ConvBN also takes a
+    list of maps and convolves their concat resized to the first one's
+    size, projecting each map at its own size first."""
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, k: int = 1,
                  stride: int = 1, relu: bool = False):

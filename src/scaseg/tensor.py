@@ -12,9 +12,13 @@ default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
 ``conv_norm`` node chains both, normalizing the conv output in place.
-``bilinear_resize`` is the one-part case of ``resize_concat``; its
-interpolation matrices are cached per (source, target) size pair and are
-read-only.
+A conv node keeps its input, never its im2col columns, which its backward
+rebuilds. A 1×1 ``conv_norm`` also takes a list of parts at different
+sizes: each part is projected by its column block of the weight at its own
+size, and the projections are resized and summed at the first part's
+size, which equals the conv of their resized concat without building it.
+The bilinear interpolation matrices are cached per (source, target) size
+pair and are read-only.
 """
 
 from __future__ import annotations
@@ -494,55 +498,91 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
-def _conv2d(x, w, b, stride, need_gx):
-    """Array kernel of ``conv2d``: returns ``(out, backward)`` with
-    ``backward(g) -> (gx, gw, gb)``; ``gx`` is None unless ``need_gx``."""
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape}, {w.shape}")
-    B, C_in, H, W = x.shape
+def _conv2d(xs, w, b, stride, need_gx):
+    """Array kernel of ``conv2d`` and ``conv_norm`` over the channel concat
+    of the parts ``xs``: returns ``(out, backward)`` with ``backward(g) ->
+    (*gxs, gw, gb)``, where ``gxs[i]`` is None unless ``need_gx[i]``. More
+    than one part needs a 1×1 stride-1 kernel (see ``_pointwise``)."""
+    if w.ndim != 4 or any(x.ndim != 4 for x in xs):
+        raise ShapeError(f"conv2d expects 4-d x and w, got "
+                         f"{[x.shape for x in xs]}, {w.shape}")
+    C_in = sum(x.shape[1] for x in xs)
     C_out, _, kh, kw = w.shape
     if w.shape[1] != C_in or kh != kw:
         raise ShapeError(
             f"conv2d needs a square kernel over the input's {C_in} channels, "
             f"got w of shape {w.shape}")
+    if kh == 1 and stride == 1:
+        return _pointwise(xs, w, b, need_gx)
+    if len(xs) != 1:
+        raise ShapeError(f"a {kh}x{kw} stride-{stride} conv takes one input, "
+                         f"got {len(xs)} parts")
+    x = xs[0]
+    B, _, H, W = x.shape
     s, p = stride, kh // 2
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
-
     k = C_in * kh * kw
-    pointwise = kh == 1 and s == 1
-    if pointwise:
-        cols = np.ascontiguousarray(x).reshape(B, k, Ho * Wo)
-    else:
+
+    def columns():  # im2col, (B, C_in·k·k, Ho·Wo)
         xp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
         xp[:, :, p:p + H, p:p + W] = x
         cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
-        cols = cols.reshape(B, k, Ho * Wo)
+        return cols.reshape(B, k, Ho * Wo)
+
     w2 = w.reshape(C_out, k)
-    out = np.matmul(w2, cols).reshape(B, C_out, Ho, Wo)
+    out = np.matmul(w2, columns()).reshape(B, C_out, Ho, Wo)
     out += b.reshape(1, C_out, 1, 1)
 
     def backward(g):
         g3 = g.reshape(B, C_out, Ho * Wo)
-        gw = np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), 0)
+        gw = np.add.reduce(np.matmul(g3, columns().transpose(0, 2, 1)), 0)
         gx = None
-        if need_gx:
-            gcols = np.matmul(w2.T, g3)
-            if pointwise:
-                gx = gcols.reshape(x.shape)
-            else:
-                gcols = gcols.reshape(B, C_in, kh, kw, Ho, Wo)
-                gxp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
-                gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+        if need_gx[0]:
+            gcols = np.matmul(w2.T, g3).reshape(B, C_in, kh, kw, Ho, Wo)
+            gxp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
+            gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
         return gx, gw.reshape(w.shape), np.add.reduce(g, (0, 2, 3))
+
+    return out, backward
+
+
+def _pointwise(xs, w, b, need_gx):
+    """The 1×1 stride-1 case of ``_conv2d``: ``Σ_i resize(W_i · x_i) + b``
+    at the first part's size, with ``W_i`` the column block of ``w`` over
+    part i's channels. A resize acts on each channel alike and ``W_i``
+    mixes channels pixel by pixel, so this is the conv of the parts'
+    resized concat, which is never built. One part is a plain 1×1 conv."""
+    B, _, H, W = xs[0].shape
+    C_out = w.shape[0]
+    blocks = np.split(w.reshape(C_out, -1),
+                      list(accumulate(x.shape[1] for x in xs))[:-1], axis=1)
+    cols = [x.reshape(B, x.shape[1], -1) for x in xs]
+    mats = [None if x.shape[2:] == (H, W) else
+            (_resize_matrix(x.shape[2], H), _resize_matrix(x.shape[3], W))
+            for x in xs]
+    out = np.matmul(blocks[0], cols[0]).reshape(B, C_out, H, W)
+    for x, wi, ci, m in zip(xs[1:], blocks[1:], cols[1:], mats[1:]):
+        y = np.matmul(wi, ci).reshape(B, C_out, *x.shape[2:])
+        out += y if m is None else m[0] @ y @ m[1].T
+    out += b.reshape(1, C_out, 1, 1)
+
+    def backward(g):
+        gxs, gws = [], []
+        for x, wi, ci, m, need in zip(xs, blocks, cols, mats, need_gx):
+            gy = (g if m is None else m[0].T @ g @ m[1]).reshape(B, C_out, -1)
+            gws.append(np.add.reduce(np.matmul(gy, ci.transpose(0, 2, 1)), 0))
+            gxs.append(np.matmul(wi.T, gy).reshape(x.shape) if need else None)
+        return (*gxs, np.concatenate(gws, 1).reshape(w.shape),
+                np.add.reduce(g, (0, 2, 3)))
 
     return out, backward
 
@@ -551,21 +591,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """2-d cross-correlation with a bias on (B, C, H, W) input.
 
     ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
-    Implemented as im2col + batched matmul. The backward pass computes the
-    weight gradient as one GEMM per image, ``g @ colsᵀ``, summed over the
-    batch, and scatters the input gradient with a fixed loop order so
-    results are deterministic; it skips the input gradient when ``x`` needs
-    none.
+    Implemented as im2col + batched matmul. The node keeps ``x``, not its
+    k²-times-wider columns: the backward rebuilds the columns from ``x``,
+    so nothing may write ``x`` in place between the forward and the
+    backward. The backward computes the weight gradient as one GEMM per
+    image, ``g @ colsᵀ``, summed over the batch, and scatters the input
+    gradient with a fixed loop order so results are deterministic; it skips
+    the input gradient when ``x`` needs none.
 
     A 1×1 kernel with stride 1 skips im2col: the column matrix is ``x``
     itself (copied only if it is not C-contiguous), and the input gradient
     is the column gradient reshaped, with no scatter.
     """
-    out, backward = _conv2d(x.data, w.data, b.data, stride, x.requires_grad)
+    out, backward = _conv2d([x.data], w.data, b.data, stride,
+                            [x.requires_grad])
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-def conv_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+def conv_norm(x, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
               stride: int, eps: float, stats=None, relu: bool = False):
     """``conv2d`` → batch ``normalize`` over (B, H, W) → optional ReLU as
     one node, chaining the two kernels. The conv output belongs to this
@@ -573,8 +616,15 @@ def conv_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     and the ReLU clamps the output in place; the backward masks by the
     output's sign. Values and gradients equal the three composed nodes bit
     for bit. Returns ``(out, mean, var)`` as ``normalize`` does.
+
+    ``x`` is a tensor or, for a 1×1 stride-1 conv, a list of parts whose
+    channels concatenate to ``w``'s input channels: the conv then runs on
+    their concat bilinearly resized to the first part's size, each part
+    projected at its own size before its resize (see ``_pointwise``).
     """
-    y, conv_backward = _conv2d(x.data, w.data, b.data, stride, x.requires_grad)
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    y, conv_backward = _conv2d([p.data for p in parts], w.data, b.data,
+                               stride, [p.requires_grad for p in parts])
     out, norm_backward, mean, var = _normalize(
         y, gamma.data, beta.data, (0, 2, 3), 1, eps, stats, True)
     if relu:
@@ -584,11 +634,13 @@ def conv_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
         gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g)
         return (*conv_backward(gy), ggamma, gbeta)
 
-    return Tensor._from_op(out, (x, w, b, gamma, beta), backward), mean, var
+    return (Tensor._from_op(out, (*parts, w, b, gamma, beta), backward),
+            mean, var)
 
 
 def bilinear_resize(x: Tensor, target) -> Tensor:
-    """Bilinear resize of a (B, C, H, W) tensor with align_corners=false.
+    """Bilinear resize of a (B, C, H, W) tensor with align_corners=false,
+    ``ry @ x @ rxᵀ``; the backward is ``ryᵀ @ g @ rx``.
 
     Source coordinate for destination index d is (d + 0.5) * scale - 0.5,
     clamped to the border.
@@ -598,36 +650,9 @@ def bilinear_resize(x: Tensor, target) -> Tensor:
     Ht, Wt = int(target[0]), int(target[1])
     if Ht < 1 or Wt < 1:
         raise ShapeError(f"invalid target size {target}")
-    return resize_concat([x], (Ht, Wt))
-
-
-def resize_concat(parts, target) -> Tensor:
-    """``concat([bilinear_resize(p, target) for p in parts], axis=1)`` as one
-    node: each (B, C_i, H_i, W_i) part is resized, ``ry @ p @ rxᵀ``, straight
-    into its channel slice of the output, or copied there at the target
-    size, so no resized part is kept. The backward resizes each slice of
-    the gradient back, ``ryᵀ @ g_i @ rx``."""
-    Ht, Wt = target
-    ends = list(accumulate(p.shape[1] for p in parts))
-    out = np.empty((parts[0].shape[0], ends[-1], Ht, Wt))
-    mats = []
-    for p, e in zip(parts, ends):
-        H, W = p.shape[2:]
-        dst = out[:, e - p.shape[1]:e]
-        if (H, W) == (Ht, Wt):
-            dst[...] = p.data
-            mats.append(None)
-        else:
-            ry, rx = _resize_matrix(H, Ht), _resize_matrix(W, Wt)
-            np.matmul(ry @ p.data, rx.T, out=dst)
-            mats.append((ry, rx))
-
-    def backward(g):
-        gps = (g[:, e - p.shape[1]:e] for p, e in zip(parts, ends))
-        return tuple(gp if m is None else m[0].T @ gp @ m[1]
-                     for m, gp in zip(mats, gps))
-
-    return Tensor._from_op(out, tuple(parts), backward)
+    ry, rx = _resize_matrix(x.shape[2], Ht), _resize_matrix(x.shape[3], Wt)
+    return Tensor._from_op(ry @ x.data @ rx.T, (x,),
+                           lambda g: (ry.T @ g @ rx,))
 
 
 @functools.cache

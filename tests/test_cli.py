@@ -213,6 +213,32 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, sub):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,target", [
+    ("describe", "describe.csv"), ("train", "metrics.csv"),
+    ("train", "checkpoint.ckpt"), ("forward", "logits.tsr")])
+def test_out_target_that_is_a_directory_exits_2(tmp_path, capsys, command,
+                                                target):
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    image = tmp_path / "image.tsr"
+    save_tensor(image, Tensor(np.zeros((3, 64, 64))))
+    args = {"describe": ["describe"],
+            "train": ["train", "--set", "iterations=2"],
+            "forward": ["forward", str(image)]}[command]
+    assert main(args + ["--out", str(out)] + TINY) == 2
+    assert "it is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [target]
+
+
+def test_unwritable_csv_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    assert main(["describe", "--out", str(tmp_path)]) == 2
+    assert "permission denied" in capsys.readouterr().err
+
+
 class TestTrain:
     def _run(self, tmp_path, name, seed):
         out = tmp_path / name

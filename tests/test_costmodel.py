@@ -113,21 +113,22 @@ class TestParamOracle:
 def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
     """Run a real eval-mode forward pass at H x H with every primitive that
     multiplies and accumulates instrumented, counting MACs position by
-    position: convolutions (alone or fused with batch norm), linear maps,
-    attention scores and values, and the depthwise conv on tokens."""
+    position: convolutions (alone or fused with batch norm, a conv over
+    parts at each part's own size), linear maps, attention scores and
+    values, and the depthwise conv on tokens."""
     counter = [0]
     real_conv, real_linear = layers_mod.conv2d, layers_mod.linear
     real_conv_norm = layers_mod.conv_norm
     real_attention, real_depthwise = (layers_mod.attention,
                                       layers_mod.depthwise_tokens)
 
-    def count_conv(w, out):
-        c_out, c_in, kh, kw = w.shape
+    def count_conv(w, out, c_in=None):
+        c_out, w_in, kh, kw = w.shape
         _, _, h_out, w_out = out.shape
         for _ in range(h_out):
             for _ in range(w_out):
                 for _ in range(c_out):
-                    counter[0] += c_in * kh * kw
+                    counter[0] += (w_in if c_in is None else c_in) * kh * kw
 
     def conv2d(x, w, b, stride=1):
         out = real_conv(x, w, b, stride=stride)
@@ -136,7 +137,11 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
 
     def conv_norm(x, w, b, gamma, beta, stride, eps, stats=None, relu=False):
         result = real_conv_norm(x, w, b, gamma, beta, stride, eps, stats, relu)
-        count_conv(w, result[0])
+        if isinstance(x, Tensor):
+            count_conv(w, result[0])
+        else:  # each part's weight block runs at that part's size
+            for part in x:
+                count_conv(w, part, c_in=part.shape[1])
         return result
 
     def linear(x, w, b):

@@ -6,7 +6,7 @@ from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     log_softmax, matmul, softmax)
 from scaseg.layers import map_from_tokens, tokens_from_map
 from scaseg.tensor import (_resize_matrix, attention, conv_norm,
-                           depthwise_tokens, linear, normalize, resize_concat)
+                           depthwise_tokens, linear, normalize)
 
 
 class TestMatmul:
@@ -196,8 +196,9 @@ def _op_cases(rng):
     cn_w3 = Tensor(rng.normal(size=(2, 2, 3, 3)))
     stats2 = (rng.normal(size=(1, 2, 1, 1)), rng.random(size=(1, 2, 1, 1)) + 0.5)
     relu_gamma, relu_beta = Tensor(np.full(2, 0.3)), Tensor(np.array([2.0, -2.0]))
-    # resize-into-concat: a same-size part and an upsampled one
-    rc_w = Tensor(rng.normal(size=(1, 4, 3, 4)))
+    # 1x1 conv_norm over parts: a same-size part and an upsampled one
+    rc_w = Tensor(rng.normal(size=(2, 2, 3, 4)))
+    parts_w = Tensor(rng.normal(size=(2, 4, 1, 1)))
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -297,9 +298,10 @@ def _op_cases(rng):
          lambda gm: (conv_norm(conv_x, conv_w, pw_b, gm, beta2, 1, 1e-5)[0]
                      * cn_w).sum(),
          (2,), None),
-        ("resize_concat",
-         lambda x: (resize_concat([x, x[:, :, 1:, 1:]], (3, 4)) * rc_w).sum(),
-         (1, 2, 3, 4), None),
+        ("conv_norm_parts",
+         lambda x: (conv_norm([x, x[:, :, 1:, 1:]], parts_w, pw_b, gamma2,
+                              beta2, 1, 1e-5)[0] * rc_w).sum(),
+         (2, 2, 3, 4), None),
     ]
 
 
@@ -437,20 +439,44 @@ class TestOneNodePrimitives:
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("target", [(4, 6), (8, 12)])
-    def test_resize_concat_is_concat_of_resizes(self, target):
-        rng = np.random.default_rng(target[0])
-        arrays = (rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(2, 2, 2, 3)),
-                  rng.normal(size=(2, 1, 1, 2)))
-        g = rng.normal(size=(2, 6, *target))
-        out, grads = _value_and_grads(
-            lambda *parts: resize_concat(parts, target), arrays, g)
-        ref, ref_grads = _value_and_grads(
-            lambda *parts: concat([bilinear_resize(p, target) for p in parts],
-                                  axis=1), arrays, g)
-        assert np.array_equal(out, ref)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("n_parts", [1, 2, 3, 4])
+    def test_conv_norm_of_parts_is_conv_norm_of_resized_concat(
+            self, training, n_parts):
+        # the first part sets the size (4, 6); the fourth is at that size too
+        rng = np.random.default_rng(n_parts)
+        shapes = [(2, 3, 4, 6), (2, 2, 2, 3), (2, 1, 1, 2), (2, 2, 4, 6)]
+        parts = [rng.normal(size=s) for s in shapes[:n_parts]]
+        c_in = sum(p.shape[1] for p in parts)
+        params = (rng.normal(size=(5, c_in, 1, 1)), rng.normal(size=5),
+                  rng.normal(size=5), rng.normal(size=5))
+        stats = None if training else (
+            rng.normal(size=(1, 5, 1, 1)), rng.random(size=(1, 5, 1, 1)) + 0.5)
+        g = rng.normal(size=(2, 5, 4, 6))
+
+        def fused(*leaves):
+            return conv_norm(list(leaves[:n_parts]), *leaves[n_parts:], 1,
+                             1e-5, stats, relu=True)[0]
+
+        def composed(*leaves):
+            x = concat([bilinear_resize(p, (4, 6)) for p in leaves[:n_parts]],
+                       axis=1)
+            return conv_norm(x, *leaves[n_parts:], 1, 1e-5, stats,
+                             relu=True)[0]
+
+        out, grads = _value_and_grads(fused, (*parts, *params), g)
+        ref, ref_grads = _value_and_grads(composed, (*parts, *params), g)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         for a, r in zip(grads, ref_grads):
-            assert np.array_equal(a, r)
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    def test_conv_norm_of_parts_needs_a_pointwise_kernel(self):
+        parts = [Tensor(np.zeros((2, 2, 4, 4))), Tensor(np.zeros((2, 2, 2, 2)))]
+        one = Tensor(np.ones(3))
+        for w_shape, stride in (((3, 4, 3, 3), 1), ((3, 4, 1, 1), 2)):
+            with pytest.raises(ShapeError, match="takes one input"):
+                conv_norm(parts, Tensor(np.zeros(w_shape)), one, one, one,
+                          stride, 1e-5)
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 6, 4)))
