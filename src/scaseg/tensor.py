@@ -18,7 +18,7 @@ sizes: each part is projected by its column block of the weight at its own
 size, and the projections are resized and summed at the first part's
 size, which equals the conv of their resized concat without building it.
 The bilinear interpolation matrices are cached per (source, target) size
-pair and are read-only.
+pair and are read-only. GELU's Φ is summed from a Taylor table, ``_PHI_TABLE``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ import math
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError, UsageError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # dtype instances, so the membership test converts no scalar type per call;
 # a float array in non-native byte order is not a member and is converted
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -261,16 +259,49 @@ class Tensor:
                                lambda g: (g * out_data * (1.0 - out_data),))
 
     def gelu(self):
-        # exact erf form; derivative Phi(x) + x * phi(x)
+        # x·Φ(x); derivative Φ + x·φ; float32 in, float32 out and gradient
         a = self
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = _cdf(x)
 
         def backward(g):
             pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
             return (g * (cdf + x * pdf),)
 
         return Tensor._from_op(x * cdf, (a,), backward)
+
+
+def _phi_table() -> np.ndarray:
+    """(6, 4353): Φ(x₀), then Φ⁽ᵏ⁾(x₀)/k!·256⁻ᵏ for k = 1..5, at x₀ = −8.5 +
+    j/256; column 0, read only for x ≤ −8.5, is zero, as erf rounds Φ there."""
+    x0 = np.arange(-2176, 2177) / 256.0
+    he = [x0 * 0.0, np.exp(-0.5 * x0 * x0) * _INV_SQRT_2PI]  # Heₙ·φ, n = −1, 0
+    rows = [[0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x0]]
+    for n in range(5):  # Φ⁽ⁿ⁺¹⁾ = (−1)ⁿ·Heₙ·φ; He₍ₙ₊₁₎ = x·Heₙ − n·He₍ₙ₋₁₎
+        rows.append(he[-1] * (-1 / 256) ** n / (256 * math.factorial(n + 1)))
+        he.append(x0 * he[-1] - n * he[-2])
+    return np.array(rows) * (x0 > -8.5)
+
+
+_PHI_TABLE = _phi_table()
+
+
+def _cdf(x: np.ndarray) -> np.ndarray:
+    """Φ(x) in ``x``'s dtype: the clamped ``256·x`` splits by truncation into
+    a table column and an exact offset u ∈ (−1, 1) for its polynomial."""
+    s = np.fmin(x, 8.5)  # fmin/fmax take NaN into the grid; x·Φ stays NaN
+    np.fmax(s, -8.5, out=s)
+    s *= 256.0
+    j = s.astype(np.intp)
+    s -= j
+    j += 2176
+    c = _PHI_TABLE.take(j, axis=1)
+    p = c[5]
+    for k in (4, 3, 2, 1):
+        p *= s
+        p += c[k]
+    cdf = np.multiply(p, s, dtype=x.dtype)  # a new array: the node keeps no c
+    return np.add(cdf, c[0], out=cdf)
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -1,11 +1,19 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scaseg
 from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     bilinear_resize, concat, conv2d, gradient_check,
                     log_softmax, matmul, softmax)
 from scaseg.layers import map_from_tokens, tokens_from_map
-from scaseg.tensor import (_resize_matrix, attention, conv_norm,
+from scaseg.tensor import (_cdf, _resize_matrix, attention, conv_norm,
                            depthwise_tokens, linear, normalize)
 
 
@@ -570,3 +578,65 @@ class TestFiniteness:
         for out in (softmax(x, -1), log_softmax(x, -1), x.gelu(), x.sigmoid(),
                     x.relu(), (x * x).sqrt()):
             assert np.isfinite(out.data).all()
+
+
+class TestGelu:
+    """GELU's Φ comes from a numpy Taylor table; ``math.erfc`` is the
+    oracle, and the erf form ``0.5·(1 + erf(x/√2))`` sets the edge cases."""
+
+    def test_cdf_matches_math_erfc(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 100_001),
+                            np.random.default_rng(0).uniform(-9, 9, 100_000)])
+        ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+        err = np.abs(_cdf(x) - ref)
+        assert err.max() <= 5e-16
+        mid = x >= -6.0
+        assert (err[mid] / ref[mid]).max() <= 1e-12
+
+    def test_nan_and_huge_inputs_warn_nothing(self):
+        x = np.array([np.nan, 1e300, -1e300, np.inf, 8.5, -8.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Tensor(x).gelu().data
+        assert np.isnan(out[0])
+        assert out[1] == 1e300 and out[3] == np.inf and out[4] == 8.5
+        # x·Φ rounds to −0.0 far below zero, as x·(1 + erf(x/√2))/2 does
+        assert out[2] == 0.0 and np.signbit(out[2])
+        assert out[5] == 0.0 and np.signbit(out[5])
+        assert out[6] == 0.0 and not np.signbit(out[6])
+        with np.errstate(invalid="ignore"):  # −inf·0, as in the erf form
+            assert np.isnan(Tensor(np.array([-np.inf])).gelu().data[0])
+
+    def test_float32_stays_float32(self):
+        data = np.random.default_rng(1).normal(size=(2, 3, 5)) * 3
+        x32 = Tensor(data.astype(np.float32), requires_grad=True)
+        x64 = Tensor(x32.data.astype(np.float64), requires_grad=True)
+        out32, out64 = x32.gelu(), x64.gelu()
+        # the node's own gradient, before a leaf's += casts it to float32
+        (g32,) = out32._backward(np.ones_like(out32.data))
+        (g64,) = out64._backward(np.ones_like(out64.data))
+        assert out32.dtype == np.float32 and g32.dtype == np.float32
+        assert np.allclose(out32.data, out64.data, rtol=1e-6, atol=1e-7)
+        assert np.allclose(g32, g64, rtol=1e-6, atol=1e-7)
+
+    def test_a_train_step_loads_no_scipy(self):
+        code = """
+import sys
+import numpy as np
+from scaseg import (DecoderConfig, EncoderConfig, SegModel, Tensor,
+                    TrainConfig, cross_entropy, gen_synthetic_dataset)
+enc, dec = EncoderConfig(), DecoderConfig()
+assert (enc.height, enc.width) == (64, 64)
+model = SegModel(enc, dec, seed=0)
+model.train()
+batch = gen_synthetic_dataset(TrainConfig().batch_size, enc.height, enc.width,
+                              dec.num_classes, seed=0)
+cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
+              np.stack([s.mask for s in batch])).backward()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(scaseg.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"
