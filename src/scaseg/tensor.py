@@ -12,13 +12,15 @@ default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
 ``conv_norm`` node chains both, normalizing the conv output in place.
-A conv node keeps its input, never its im2col columns, which its backward
-rebuilds. A 1×1 ``conv_norm`` also takes a list of parts at different
-sizes: each part is projected by its column block of the weight at its own
-size, and the projections are resized and summed at the first part's
-size, which equals the conv of their resized concat without building it.
-The bilinear interpolation matrices are cached per (source, target) size
-pair and are read-only. GELU's Φ is summed from a Taylor table, ``_PHI_TABLE``.
+Train-mode batch norm's backward is ``k·(g − Σg/n) − x̂·(k·Σg·x̂/n)``, ``k
+= γ·inv``. A conv node keeps its input, never its im2col columns, which its
+backward rebuilds. A 1×1 ``conv_norm`` also takes a list of parts at
+different sizes: each part is projected by its column block of the weight
+at its own size, and the projections are resized and summed at the first
+part's size, which equals the conv of their resized concat without
+building it. The bilinear interpolation matrices are cached per (source,
+target) size pair and are read-only. GELU's Φ is summed from a Taylor
+table, ``_PHI_TABLE``.
 """
 
 from __future__ import annotations
@@ -438,16 +440,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (x,), backward)
 
 
-def log_softmax_data(z: np.ndarray, axis: int) -> np.ndarray:
-    """``z - log(sum(exp(z)))`` along ``axis``, shifted by the max first."""
-    out = z - z.max(axis=axis, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
-    return out
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """``x - log(sum(exp(x)))`` along ``axis``, shifted by the max first."""
     _check_axis(x, axis)
-    out_data = log_softmax_data(x.data, axis)
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
     sm = np.exp(out_data)
 
     def backward(g):
@@ -476,40 +473,47 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
     """Array kernel of ``normalize``: returns ``(out, backward, mean, var)``
-    with ``backward(gout) -> (gx, ggamma, gbeta)``. With ``inplace`` the
-    caller's ``x`` is overwritten by ``x̂``, which the backward keeps."""
+    with ``backward(gout, writable=False) -> (gx, ggamma, gbeta)``. With
+    ``inplace`` the caller's ``x`` is overwritten by ``x̂``, which the
+    backward keeps. Train-mode batch norm's ``gx = k·(gout − gβ/n) −
+    x̂·(k·gγ/n)``, ``k = γ·inv``, goes into ``gout`` if ``writable``."""
     pshape = [1] * x.ndim
     pshape[channel_axis] = gamma.size
     g = gamma.reshape(pshape)
+    out = np.empty_like(x) if stats is None else None  # d·d, then the output
     if stats is None:
         n = math.prod([x.shape[a] for a in axes])
         mean = np.add.reduce(x, axes, keepdims=True) * (1.0 / n)
         d = np.add(x, -mean, out=x if inplace else None)
-        var = np.add.reduce(d * d, axes, keepdims=True) * (1.0 / n)
+        var = np.add.reduce(np.multiply(d, d, out=out), axes, keepdims=True) * (1.0 / n)
         inv = (var + eps) ** -0.5
     else:
         mean, var = stats
         d = np.add(x, -mean, out=x if inplace else None)
         inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(d, inv, out=d)
-    out = xhat * g
+    out = np.multiply(xhat, g, out=out)
     out += beta.reshape(pshape)
 
-    def backward(gout):
+    def backward(gout, writable=False):
         param_axes = tuple(i for i in range(gout.ndim) if pshape[i] == 1)
-        gxhat = gout * g
         scratch = gout * xhat
-        ggamma = np.add.reduce(scratch, param_axes).reshape(gamma.shape)
-        if stats is None:
-            # d/dx of xhat, with mean and var functions of x; sum / n is
-            # exactly what ndarray.mean computes
-            m1 = np.add.reduce(gxhat, axes, keepdims=True) / n
-            m2 = np.add.reduce(gxhat * xhat, axes, keepdims=True) / n
-            gxhat -= m1
-            gxhat -= np.multiply(xhat, m2, out=scratch)
-        gxhat *= inv
-        return (gxhat, ggamma,
-                np.add.reduce(gout, param_axes).reshape(beta.shape))
+        ggamma = np.add.reduce(scratch, param_axes, keepdims=True)
+        gbeta = np.add.reduce(gout, param_axes, keepdims=True)
+        if stats is None and sorted(a % gout.ndim for a in axes) == list(param_axes):
+            k = g * inv
+            gx = np.subtract(gout, gbeta / n, out=gout if writable else None)
+            gx *= k
+            gx -= np.multiply(xhat, k * ggamma / n, out=scratch)
+        else:
+            gx = gout * g
+            if stats is None:
+                # the mean form; sum / n is exactly what ndarray.mean computes
+                m2 = np.add.reduce(gx * xhat, axes, keepdims=True) / n
+                gx -= np.add.reduce(gx, axes, keepdims=True) / n
+                gx -= np.multiply(xhat, m2, out=scratch)
+            gx *= inv
+        return gx, ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
 
     return out, backward, mean, var
 
@@ -661,8 +665,8 @@ def conv_norm(x, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     if relu:
         np.maximum(out, 0, out=out)
 
-    def backward(g):
-        gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g)
+    def backward(g):  # the masked gradient is this call's own; g may be shared
+        gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g, relu)
         return (*conv_backward(gy), ggamma, gbeta)
 
     return (Tensor._from_op(out, (*parts, w, b, gamma, beta), backward),

@@ -11,7 +11,7 @@ from .errors import DataError, NumericalError, UsageError
 from .module import Module
 from .rng import RandomSource
 from .serialization import save_checkpoint
-from .tensor import Tensor, log_softmax_data
+from .tensor import Tensor
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -19,24 +19,29 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
 
     One graph node whose only parent is ``logits``; its gradient is
     ``(softmax(logits) - onehot(mask)) / n`` over the ``n = B*H*W`` pixels.
+    It keeps one full-size buffer, ``e = exp(z - max_k z)``; the backward
+    writes ``e·(g/n)/Σ_k e`` and subtracts ``g/n`` at the labels.
     """
     B, K, H, W = logits.shape
     mask = np.asarray(mask)
     if mask.shape != (B, H, W):
         raise DataError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    if mask.min() < 0 or mask.max() >= K:
-        raise DataError(f"labels must lie in 0..{K - 1}, got [{mask.min()}, {mask.max()}]")
-    labels = mask[:, None]
+    if mask.dtype.kind not in "iu" or mask.min() < 0 or mask.max() >= K:
+        raise DataError(f"labels must be integers in 0..{K - 1}, got "
+                        f"{mask.dtype} in [{mask.min()}, {mask.max()}]")
+    flat = mask[:, None].astype(np.intp)  # (b·K + label)·H·W + pixel, in intp
+    flat += np.arange(0, B * K, K).reshape(B, 1, 1, 1)
+    flat *= H * W
+    flat += np.arange(H * W).reshape(H, W)
     inv_n = 1.0 / (B * H * W)
-    logp = log_softmax_data(logits.data, axis=1)
-    loss = -np.take_along_axis(logp, labels, 1).sum() * inv_n
+    e = logits.data - np.maximum.reduce(logits.data, 1, keepdims=True)
+    picked = e.take(flat)
+    s = np.add.reduce(np.exp(e, out=e), 1, keepdims=True)
+    loss = -(picked - np.log(s)).sum() * inv_n
 
     def backward(g):
-        grad = np.exp(logp)
-        grad *= inv_n
-        np.put_along_axis(grad, labels,
-                          np.take_along_axis(grad, labels, 1) - inv_n, 1)
-        grad *= g
+        grad = np.multiply(e, g * inv_n / s)
+        np.put(grad, flat, grad.take(flat) - g * inv_n)
         return (grad,)
 
     return Tensor._from_op(loss, (logits,), backward)

@@ -478,6 +478,20 @@ class TestOneNodePrimitives:
         for a, r in zip(grads, ref_grads):
             np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_conv_norm_leaves_a_shared_upstream_gradient(self, relu, first):
+        # ``+`` hands one gradient array to both operands; the conv_norm
+        # backward may write only its own masked copy, never that array
+        rng = np.random.default_rng(11)
+        leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((2, 3, 5, 4), (4, 3, 1, 1), (4,), (4,), (4,))]
+        other = Tensor(np.zeros((2, 4, 5, 4)), requires_grad=True)
+        out = conv_norm(leaves[0], *leaves[1:], 1, 1e-5, relu=relu)[0]
+        g = rng.normal(size=out.shape)
+        (((out + other) if first else (other + out)) * Tensor(g)).sum().backward()
+        assert np.array_equal(other.grad, g)
+
     def test_conv_norm_of_parts_needs_a_pointwise_kernel(self):
         parts = [Tensor(np.zeros((2, 2, 4, 4))), Tensor(np.zeros((2, 2, 2, 2)))]
         one = Tensor(np.ones(3))
@@ -565,9 +579,20 @@ class TestKernelsMatchOldFormulation:
               - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True)) * inv
         assert np.array_equal(out.data,
                               xhat * gamma.reshape(pshape) + beta.reshape(pshape))
-        assert np.array_equal(leaves[0].grad, gx)
-        assert np.array_equal(leaves[1].grad, (gout * xhat).sum(axis=param_axes))
-        assert np.array_equal(leaves[2].grad, gout.sum(axis=param_axes))
+        ggamma = (gout * xhat).sum(axis=param_axes, keepdims=True)
+        gbeta = gout.sum(axis=param_axes, keepdims=True)
+        if channel_axis == 1:
+            # batch norm takes two reductions: k·(gout − gβ/n) − x̂·(k·gγ/n),
+            # k = γ·inv, within 1e-12 of the largest entry of the mean form
+            k = gamma.reshape(pshape) * inv
+            assert np.array_equal(leaves[0].grad,
+                                  k * (gout - gbeta / n) - xhat * (k * ggamma / n))
+            np.testing.assert_allclose(leaves[0].grad, gx, rtol=0,
+                                       atol=1e-12 * np.abs(gx).max())
+        else:
+            assert np.array_equal(leaves[0].grad, gx)
+        assert np.array_equal(leaves[1].grad, ggamma.reshape(C))
+        assert np.array_equal(leaves[2].grad, gbeta.reshape(C))
 
 
 class TestFiniteness:

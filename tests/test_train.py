@@ -12,6 +12,7 @@ from scaseg import (AdamW, ConfigError, DataError, DecoderConfig,
                     train_loop)
 from scaseg.data import PALETTE
 from scaseg.module import Module
+from scaseg.tensor import conv_norm
 
 
 class TestSyntheticData:
@@ -118,7 +119,9 @@ class TestCrossEntropy:
 
     def test_one_node_equals_composite_bit_for_bit(self):
         # log_softmax, a one-hot product, a sum and a 1/n scale, as separate
-        # nodes: the one-node loss must give the same bits and one parent
+        # nodes: the one-node loss must give the same bits and one parent;
+        # its gradient is e·(1/n)/s less 1/n at the labels, within 1e-12 of
+        # the composite's largest entry
         g = np.random.default_rng(4)
         B, K, H, W = 2, 4, 3, 5
         z = g.normal(size=(B, K, H, W))
@@ -133,8 +136,78 @@ class TestCrossEntropy:
         loss = cross_entropy(logits, mask)
         loss.backward()
         assert np.array_equal(loss.data, ref.data)
-        assert np.array_equal(logits.grad, ref_logits.grad)
+        inv_n = 1.0 / (B * H * W)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        grad = e * (inv_n / e.sum(axis=1, keepdims=True))
+        np.put_along_axis(grad, mask[:, None],
+                          np.take_along_axis(grad, mask[:, None], 1) - inv_n, 1)
+        assert np.array_equal(logits.grad, grad)
+        np.testing.assert_allclose(logits.grad, ref_logits.grad, rtol=0,
+                                   atol=1e-12 * np.abs(ref_logits.grad).max())
         assert len(loss._parents) == 1 and loss._parents[0] is logits
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_non_integer_mask_rejected(self, dtype):
+        logits = Tensor(np.zeros((1, 3, 2, 2)))
+        with pytest.raises(DataError, match="integers"):
+            cross_entropy(logits, np.ones((1, 2, 2), dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+    def test_narrow_integer_mask_matches_int64(self, dtype):
+        # at 16×16 a uint8 label·H·W would wrap; the flat index is intp
+        g = np.random.default_rng(5)
+        z = g.normal(size=(2, 5, 16, 16))
+        mask = g.integers(0, 5, size=(2, 16, 16))
+        results = []
+        for m in (mask, mask.astype(dtype)):
+            logits = Tensor(z, requires_grad=True)
+            loss = cross_entropy(logits, m)
+            loss.backward()
+            results.append((loss.data, logits.grad))
+        (ref_loss, ref_grad), (loss, grad) = results
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(grad, ref_grad)
+
+
+class TestBackwardTwice:
+    """A second ``backward()`` without ``zero_grad`` doubles every gradient
+    exactly, so no backward closure writes a buffer it keeps (the loss's
+    ``e``, a norm's ``x̂``, the ReLU-masked gradient)."""
+
+    @staticmethod
+    def once_and_twice(loss, leaves):
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            assert np.array_equal(t.grad, 2 * g)
+
+    def test_default_model_step(self):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        model.train()
+        batch = gen_synthetic_dataset(TrainConfig().batch_size, 64, 64, 4, seed=0)
+        loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
+                             np.stack([s.mask for s in batch]))
+        loss.backward()
+        once = model.flat_grad.copy()
+        assert np.abs(once).max() > 0
+        loss.backward()
+        assert np.array_equal(model.flat_grad, 2 * once)
+
+    def test_cross_entropy(self):
+        g = np.random.default_rng(6)
+        logits = Tensor(g.normal(size=(2, 4, 5, 3)), requires_grad=True)
+        self.once_and_twice(
+            cross_entropy(logits, g.integers(0, 4, size=(2, 5, 3))), [logits])
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_conv_norm(self, relu):
+        g = np.random.default_rng(7)
+        leaves = [Tensor(g.normal(size=s), requires_grad=True)
+                  for s in ((2, 3, 6, 5), (4, 3, 3, 3), (4,), (4,), (4,))]
+        out = conv_norm(leaves[0], *leaves[1:], 1, 1e-5, relu=relu)[0]
+        self.once_and_twice((out * Tensor(g.normal(size=out.shape))).sum(),
+                            leaves)
 
 
 class TestPolyLr:
