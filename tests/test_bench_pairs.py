@@ -24,7 +24,8 @@ def test_quartiles_counts_and_provenance():
     runs = [(result(p, 100.0, commit="a"),
              result(c, 100.0, failed=i % 2, commit="b"))
             for i, (p, c) in enumerate(zip(parent, change))]
-    doc = bench_pairs.summarize({"train-256": runs})["train-256"]
+    doc = bench_pairs.summarize({"train-256": runs}, "p0",
+                                "c0 + uncommitted changes")["train-256"]
     assert doc["pairs"] == 4
     op = doc["metrics"]["op_rel_p50"]
     assert op["unit"] == "ref"
@@ -37,14 +38,17 @@ def test_quartiles_counts_and_provenance():
     assert rss["lower_in"] == 0 and rss["median_change_pct"] == 0.0  # ties are not lower
     assert doc["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 1, 0, 1]}
     assert doc["correct"]["change"] == [True, False, True, False]
-    assert doc["provenance"]["parent"]["git_commit"] == "a"
-    assert doc["provenance"]["change"]["git_commit"] == "b"
+    # The commits given replace what each run recorded; the rest is kept.
+    assert doc["provenance"]["parent"] == {"git_commit": "p0", "nproc": 2}
+    assert doc["provenance"]["change"] == {
+        "git_commit": "c0 + uncommitted changes", "nproc": 2}
+    assert runs[0][0]["provenance"]["git_commit"] == "a"
 
 
 def test_workloads_are_kept_apart():
     doc = bench_pairs.summarize({
         "train-64": [(result(6.0, 80.0), result(5.0, 81.0))],
-        "infer-mixed": [(result(1.6, 90.0), result(1.7, 89.0))]})
+        "infer-mixed": [(result(1.6, 90.0), result(1.7, 89.0))]}, "p", "c")
     assert list(doc) == ["train-64", "infer-mixed"]
     assert doc["train-64"]["metrics"]["op_rel_p50"]["lower_in"] == 1
     assert doc["train-64"]["metrics"]["peak_rss_mb"]["lower_in"] == 0

@@ -1,17 +1,19 @@
 """Alternating parent/change benchmark pairs, summarized into a BENCH file.
 
-    python3 tools/bench_pairs.py --number N --pairs 10 --seed 41
+    python3 tools/bench_pairs.py --number N --seed 41
 
 Checks out ``--parent`` (default ``HEAD``) into a temporary ``git worktree``
 and runs ``perfbench/run.py --seconds 35 --trace 0`` alternately there and
-in the working tree, ``--pairs`` times per workload at one seed; the side
-that goes first alternates from pair to pair. After each run it reads
+in the working tree, 10 pairs per workload at one seed; the side that goes
+first alternates from pair to pair. After each run it reads
 ``perfbench/results/<workload>-trace0.json`` of the tree that ran and the
 ``correct`` flag from the run's last output line. It writes
 ``BENCH_<number>.json`` at the repo root: per workload and metric, each
 side's values and quartiles and the number of pairs where the change reads
-lower, the ``failed`` counts and the provenance blocks. The worktree is
-removed at the end. Standard library and numpy only.
+lower, the ``failed`` counts and the provenance blocks, whose
+``git_commit`` names the parent's sha and the working tree's ``HEAD``
+(marked when ``src/`` or ``perfbench/`` hold uncommitted changes). The
+worktree is removed at the end. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -28,16 +30,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-64", "train-256", "infer-mixed")
+PAIRS = 10
+SECONDS = 35
 
 
 def quartiles(values) -> list[float]:
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
 
 
-def summarize(pairs: dict) -> dict:
+def summarize(pairs: dict, parent_commit: str, change_commit: str) -> dict:
     """``{workload: [(parent, change), ...]}`` of run results, each the
     ``<workload>-trace0.json`` document plus a ``correct`` flag, to the
-    BENCH file's per-workload block. Lower is better for every metric."""
+    BENCH file's per-workload block. Lower is better for every metric. The
+    provenance blocks' ``git_commit`` is replaced by the commits given: a
+    run cannot name its own, since perfbench reads ``.git/HEAD``, which a
+    worktree does not have, and the working tree may be uncommitted."""
     out = {}
     for name, runs in pairs.items():
         metrics = {}
@@ -61,17 +68,18 @@ def summarize(pairs: dict) -> dict:
                        "change": [c["failed"] for _, c in runs]},
             "correct": {"parent": [p["correct"] for p, _ in runs],
                         "change": [c["correct"] for _, c in runs]},
-            "provenance": {"parent": runs[0][0]["provenance"],
-                           "change": runs[0][1]["provenance"]},
+            "provenance": {
+                "parent": {**runs[0][0]["provenance"], "git_commit": parent_commit},
+                "change": {**runs[0][1]["provenance"], "git_commit": change_commit}},
         }
     return out
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; its result document."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited {proc.returncode}:\n"
@@ -92,9 +100,7 @@ def main(argv=None) -> int:
     ap.add_argument("--number", required=True,
                     help="writes BENCH_<number>.json at the repo root")
     ap.add_argument("--parent", default="HEAD", help="git rev to compare against")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=41)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeatable; default every workload")
     args = ap.parse_args(argv)
@@ -107,27 +113,28 @@ def main(argv=None) -> int:
     try:
         for workload in workloads:
             runs = pairs[workload] = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = (tree, ROOT) if i % 2 == 0 else (ROOT, tree)
-                res = {t: run_once(t, workload, args.seed, args.seconds)
-                       for t in order}
+                res = {t: run_once(t, workload, args.seed) for t in order}
                 runs.append((res[tree], res[ROOT]))
                 p, c = (r["metrics"]["op_rel_p50"]["value"]
                         for r in runs[-1])
-                print(f"{workload} pair {i + 1}/{args.pairs}: op_rel_p50 "
+                print(f"{workload} pair {i + 1}/{PAIRS}: op_rel_p50 "
                       f"{p:.3f} -> {c:.3f}", flush=True)
     finally:
         git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
+    head = git("rev-parse", "HEAD")
+    uncommitted = bool(git("status", "--porcelain", "--", "src", "perfbench"))
     doc = {
         "command": "python3 tools/bench_pairs.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
         "parent": parent_sha,
-        "change": {"head": git("rev-parse", "HEAD"),
-                   "uncommitted": bool(git("status", "--porcelain", "--",
-                                           "src", "perfbench"))},
-        "seed": args.seed, "seconds": args.seconds,
-        "workloads": summarize(pairs),
+        "change": {"head": head, "uncommitted": uncommitted},
+        "seed": args.seed, "seconds": SECONDS,
+        "workloads": summarize(
+            pairs, parent_sha,
+            head + (" + uncommitted changes" if uncommitted else "")),
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
