@@ -1,10 +1,10 @@
 """Analytic parameter and multiply-accumulate accounting.
 
-Counting rules: a conv contributes C_in * C_out * k^2 weights plus C_out
-biases and C_in * C_out * k^2 * h_out * w_out MACs (a depthwise conv counts
-with C_in = 1); a linear d_in * d_out weights plus d_out biases and
-d_in * d_out MACs per token; a norm contributes 2C parameters and zero MACs
-(running stats are buffers, not parameters).
+Counting rules: a conv contributes C_in * C_out * k^2 weights, plus C_out
+biases unless a batch norm follows, and C_in * C_out * k^2 * h_out * w_out
+MACs (a depthwise conv counts with C_in = 1); a linear d_in * d_out weights
+plus d_out biases and d_in * d_out MACs per token; a norm contributes 2C
+parameters and zero MACs (running stats are buffers, not parameters).
 Softmax, activations, and resampling are listed as zero-MAC lines so the
 breakdown still names every stage. MAC totals follow the vision
 literature's convention of reporting one MAC as one FLOP.
@@ -76,7 +76,8 @@ def _linear(report, path, d_in, d_out, tokens):
 
 
 def _conv_bn(report, path, c_in, c_out, k, h, w):
-    _conv(report, f"{path}.conv", c_in, c_out, k, h, w)
+    weights = c_in * c_out * k * k  # no bias: the norm's mean cancels it
+    report.add(f"{path}.conv", weights, weights * h * w)
     _norm(report, f"{path}.bn", c_out)
 
 
@@ -151,7 +152,7 @@ def _decoder_costs(report, channels, cfg: DecoderConfig, H, W):
     # the fuse applies each projection's ch x ch weight block at that
     # projection's own size and upsamples the result, so its MACs are
     # ch * ch per pixel summed over the four levels, not 4ch * ch at F_1's size
-    report.add("decoder.head.fuse.conv", 4 * ch * ch + ch, ch * ch * pixels)
+    report.add("decoder.head.fuse.conv", 4 * ch * ch, ch * ch * pixels)
     _norm(report, "decoder.head.fuse.bn", ch)
     _conv(report, "decoder.head.classifier", ch, cfg.num_classes, 1,
           H // 4, W // 4)

@@ -93,40 +93,40 @@ class BatchNorm2d(Module):
 
 
 class Conv2d(Module):
-    """Conv layer with Kaiming fan-out init, padded by ``k // 2``."""
+    """Stride-1 conv layer with Kaiming fan-out init, padded by ``k // 2``."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: RandomSource,
-                 stride: int = 1, init_std: float | None = None):
+                 init_std: float | None = None, bias: bool = True):
         super().__init__()
-        self.stride = stride
         if init_std is None:
             init_std = np.sqrt(2.0 / (c_out * k * k))
         self.weight = Tensor(rng.normal((c_out, c_in, k, k), std=init_std),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride)
+        return conv2d(x, self.weight, self.bias)
 
 
 class ConvBN(Module):
-    """1x1 (or kxk) convolution followed by batch normalization and an
-    optional ReLU, as one ``conv_norm`` node. A 1x1 ConvBN also takes a
-    list of maps and convolves their concat resized to the first one's
+    """1x1 (or kxk) bias-free convolution followed by batch normalization
+    and an optional ReLU, as one ``conv_norm`` node. A 1x1 ConvBN also takes
+    a list of maps and convolves their concat resized to the first one's
     size, projecting each map at its own size first."""
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, k: int = 1,
                  stride: int = 1, relu: bool = False):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, rng, stride=stride)
+        self.stride = stride
+        self.conv = Conv2d(c_in, c_out, k, rng, bias=False)
         self.bn = BatchNorm2d(c_out)
         self.relu = relu
 
     def __call__(self, x: Tensor) -> Tensor:
         conv, bn = self.conv, self.bn
         return bn.normalized(lambda stats: conv_norm(
-            x, conv.weight, conv.bias, bn.gamma, bn.beta, conv.stride, BN_EPS,
-            stats, self.relu))
+            x, conv.weight, bn.gamma, bn.beta, self.stride, BN_EPS, stats,
+            self.relu))
 
 
 class MultiHeadAttention(Module):

@@ -10,17 +10,17 @@ twice without ``zero_grad`` doubles every leaf gradient.
 All primitives are implemented on top of numpy; double precision is the
 default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
-``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
-``conv_norm`` node chains both, normalizing the conv output in place.
-Train-mode batch norm's backward is ``k·(g − Σg/n) − x̂·(k·Σg·x̂/n)``, ``k
-= γ·inv``. A conv node keeps its input, never its im2col columns, which its
-backward rebuilds. A 1×1 ``conv_norm`` also takes a list of parts at
-different sizes: each part is projected by its column block of the weight
-at its own size, and the projections are resized and summed at the first
-part's size, which equals the conv of their resized concat without
-building it. The bilinear interpolation matrices are cached per (source,
-target) size pair and are read-only. GELU's Φ is summed from a Taylor
-table, ``_PHI_TABLE``.
+``conv2d`` and ``normalize`` wrap one kernel each into a node, and the
+fused ``conv_norm`` node chains both, normalizing the conv output in place.
+The conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch
+mean would cancel one. A conv node keeps its input, never its im2col
+columns, which its backward rebuilds. A 1×1 ``conv_norm`` also takes a list
+of parts at different sizes: each part is projected by its column block of
+the weight at its own size, and the projections are resized and summed at
+the first part's size, which equals the conv of their resized concat
+without building it. The bilinear interpolation matrices are cached per
+(source, target) size pair and are read-only. GELU's Φ is summed from a
+Taylor table, ``_PHI_TABLE``.
 """
 
 from __future__ import annotations
@@ -533,11 +533,11 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
-def _conv2d(xs, w, b, stride, need_gx):
-    """Array kernel of ``conv2d`` and ``conv_norm`` over the channel concat
-    of the parts ``xs``: returns ``(out, backward)`` with ``backward(g) ->
-    (*gxs, gw, gb)``, where ``gxs[i]`` is None unless ``need_gx[i]``. More
-    than one part needs a 1×1 stride-1 kernel (see ``_pointwise``)."""
+def _conv2d(xs, w, stride, need_gx):
+    """Bias-free array kernel of ``conv2d`` and ``conv_norm`` over the
+    channel concat of the parts ``xs``: returns ``(out, backward)`` with
+    ``backward(g) -> (*gxs, gw)``, where ``gxs[i]`` is None unless
+    ``need_gx[i]``. More than one part needs a 1×1 stride-1 kernel."""
     if w.ndim != 4 or any(x.ndim != 4 for x in xs):
         raise ShapeError(f"conv2d expects 4-d x and w, got "
                          f"{[x.shape for x in xs]}, {w.shape}")
@@ -548,7 +548,7 @@ def _conv2d(xs, w, b, stride, need_gx):
             f"conv2d needs a square kernel over the input's {C_in} channels, "
             f"got w of shape {w.shape}")
     if kh == 1 and stride == 1:
-        return _pointwise(xs, w, b, need_gx)
+        return _pointwise(xs, w, need_gx)
     if len(xs) != 1:
         raise ShapeError(f"a {kh}x{kw} stride-{stride} conv takes one input, "
                          f"got {len(xs)} parts")
@@ -572,7 +572,6 @@ def _conv2d(xs, w, b, stride, need_gx):
 
     w2 = w.reshape(C_out, k)
     out = np.matmul(w2, columns()).reshape(B, C_out, Ho, Wo)
-    out += b.reshape(1, C_out, 1, 1)
 
     def backward(g):
         g3 = g.reshape(B, C_out, Ho * Wo)
@@ -585,13 +584,13 @@ def _conv2d(xs, w, b, stride, need_gx):
                 for j in range(kw):
                     gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
             gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-        return gx, gw.reshape(w.shape), np.add.reduce(g, (0, 2, 3))
+        return gx, gw.reshape(w.shape)
 
     return out, backward
 
 
-def _pointwise(xs, w, b, need_gx):
-    """The 1×1 stride-1 case of ``_conv2d``: ``Σ_i resize(W_i · x_i) + b``
+def _pointwise(xs, w, need_gx):
+    """The 1×1 stride-1 case of ``_conv2d``: ``Σ_i resize(W_i · x_i)``
     at the first part's size, with ``W_i`` the column block of ``w`` over
     part i's channels. A resize acts on each channel alike and ``W_i``
     mixes channels pixel by pixel, so this is the conv of the parts'
@@ -608,7 +607,6 @@ def _pointwise(xs, w, b, need_gx):
     for x, wi, ci, m in zip(xs[1:], blocks[1:], cols[1:], mats[1:]):
         y = np.matmul(wi, ci).reshape(B, C_out, *x.shape[2:])
         out += y if m is None else m[0] @ y @ m[1].T
-    out += b.reshape(1, C_out, 1, 1)
 
     def backward(g):
         gxs, gws = [], []
@@ -616,14 +614,14 @@ def _pointwise(xs, w, b, need_gx):
             gy = (g if m is None else m[0].T @ g @ m[1]).reshape(B, C_out, -1)
             gws.append(np.add.reduce(np.matmul(gy, ci.transpose(0, 2, 1)), 0))
             gxs.append(np.matmul(wi.T, gy).reshape(x.shape) if need else None)
-        return (*gxs, np.concatenate(gws, 1).reshape(w.shape),
-                np.add.reduce(g, (0, 2, 3)))
+        return (*gxs, np.concatenate(gws, 1).reshape(w.shape))
 
     return out, backward
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """2-d cross-correlation with a bias on (B, C, H, W) input.
+    """2-d cross-correlation on (B, C, H, W) input plus a per-channel bias,
+    which this node alone adds to the bias-free kernel's output.
 
     ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
     Implemented as im2col + batched matmul. The node keeps ``x``, not its
@@ -638,19 +636,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     itself (copied only if it is not C-contiguous), and the input gradient
     is the column gradient reshaped, with no scatter.
     """
-    out, backward = _conv2d([x.data], w.data, b.data, stride,
-                            [x.requires_grad])
-    return Tensor._from_op(out, (x, w, b), backward)
+    out, backward = _conv2d([x.data], w.data, stride, [x.requires_grad])
+    out += b.data.reshape(1, -1, 1, 1)
+    return Tensor._from_op(out, (x, w, b), lambda g: (
+        *backward(g), np.add.reduce(g, (0, 2, 3))))
 
 
-def conv_norm(x, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-              stride: int, eps: float, stats=None, relu: bool = False):
-    """``conv2d`` → batch ``normalize`` over (B, H, W) → optional ReLU as
-    one node, chaining the two kernels. The conv output belongs to this
-    node alone, so the normalization overwrites it with ``x̂`` in place,
-    and the ReLU clamps the output in place; the backward masks by the
-    output's sign. Values and gradients equal the three composed nodes bit
-    for bit. Returns ``(out, mean, var)`` as ``normalize`` does.
+def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
+              eps: float, stats=None, relu: bool = False):
+    """Bias-free conv → batch ``normalize`` over (B, H, W) → optional ReLU
+    as one node (the batch mean would cancel a conv bias). The conv output
+    is this node's own, so the normalization overwrites it with ``x̂`` and
+    the ReLU clamps it in place; the backward masks by the output's sign.
+    Values and gradients equal zero-bias ``conv2d``, ``normalize`` and ReLU
+    nodes composed, bit for bit. Returns ``(out, mean, var)``.
 
     ``x`` is a tensor or, for a 1×1 stride-1 conv, a list of parts whose
     channels concatenate to ``w``'s input channels: the conv then runs on
@@ -658,8 +657,8 @@ def conv_norm(x, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     projected at its own size before its resize (see ``_pointwise``).
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
-    y, conv_backward = _conv2d([p.data for p in parts], w.data, b.data,
-                               stride, [p.requires_grad for p in parts])
+    y, conv_backward = _conv2d([p.data for p in parts], w.data, stride,
+                               [p.requires_grad for p in parts])
     out, norm_backward, mean, var = _normalize(
         y, gamma.data, beta.data, (0, 2, 3), 1, eps, stats, True)
     if relu:
@@ -669,7 +668,7 @@ def conv_norm(x, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
         gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g, relu)
         return (*conv_backward(gy), ggamma, gbeta)
 
-    return (Tensor._from_op(out, (*parts, w, b, gamma, beta), backward),
+    return (Tensor._from_op(out, (*parts, w, gamma, beta), backward),
             mean, var)
 
 

@@ -24,8 +24,8 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
     """
     B, K, H, W = logits.shape
     mask = np.asarray(mask)
-    if mask.shape != (B, H, W):
-        raise DataError(f"mask shape {mask.shape} does not match logits {logits.shape}")
+    if mask.shape != (B, H, W) or mask.size == 0:
+        raise DataError(f"mask shape {mask.shape} is empty or does not match {logits.shape}")
     if mask.dtype.kind not in "iu" or mask.min() < 0 or mask.max() >= K:
         raise DataError(f"labels must be integers in 0..{K - 1}, got "
                         f"{mask.dtype} in [{mask.min()}, {mask.max()}]")

@@ -181,6 +181,19 @@ class TestForward:
                      "--checkpoint", str(ckpt)]) == 3
         assert "lacks" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_conv_bn_bias_exits_3(self, tmp_path, capsys):
+        # a checkpoint written while ConvBN convs carried a bias
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        state = SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, [*state, ("encoder.stages.0.0.conv.bias",
+                                        Tensor(np.zeros(8)))])
+        assert main(["forward", str(inp), "--out", str(tmp_path),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert "encoder.stages.0.0.conv.bias" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("case,code", [
     ("missing-config", 2), ("non-utf8-config", 2),

@@ -135,8 +135,8 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
         count_conv(w, out)
         return out
 
-    def conv_norm(x, w, b, gamma, beta, stride, eps, stats=None, relu=False):
-        result = real_conv_norm(x, w, b, gamma, beta, stride, eps, stats, relu)
+    def conv_norm(x, w, gamma, beta, stride, eps, stats=None, relu=False):
+        result = real_conv_norm(x, w, gamma, beta, stride, eps, stats, relu)
         if isinstance(x, Tensor):
             count_conv(w, result[0])
         else:  # each part's weight block runs at that part's size

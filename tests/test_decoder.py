@@ -167,7 +167,6 @@ class TestScm:
         scm = dec.scm[0]
         scm.eval()
         scm.proj_s.conv.weight.data[...] = 0.0
-        scm.proj_s.conv.bias.data[...] = 0.0
         scm.proj_s.bn.beta.data[...] = 0.0
         scm.proj_s.bn.running_mean.data[...] = 0.0
         f = Tensor(np.random.default_rng(0).normal(size=(1, 16, 8, 8)))
@@ -181,7 +180,6 @@ class TestScm:
         scm = dec.scm[0]
         scm.eval()
         scm.proj_s.conv.weight.data[...] = 0.0
-        scm.proj_s.conv.bias.data[...] = 0.0
         scm.proj_s.bn.beta.data[...] = 0.0
         scm.proj_s.bn.running_mean.data[...] = 0.0
         f = Tensor(np.random.default_rng(2).normal(size=(1, 16, 8, 8)))
@@ -238,9 +236,7 @@ class TestHeadAndForward:
         base = dec(p).data
         for scm in dec.scm:
             scm.proj_f.conv.weight.data[...] = 0.0
-            scm.proj_f.conv.bias.data[...] = 0.0
             scm.proj_s.conv.weight.data[...] = 0.0
-            scm.proj_s.conv.bias.data[...] = 0.0
         changed = dec(p).data
         assert not np.array_equal(base, changed)  # SCM does matter overall
 

@@ -208,7 +208,6 @@ class TestConvBN:
         cb = ConvBN(3, 3, rng(0))
         cb.eval()
         cb.conv.weight.data[...] = np.eye(3).reshape(3, 3, 1, 1)
-        cb.conv.bias.data[...] = 0.0
         mu = np.array([0.3, -1.0, 2.0])
         var = np.array([0.5, 2.0, 1.3])
         cb.bn.running_mean.data[...] = mu
@@ -231,12 +230,11 @@ class TestConvBN:
         cb.eval()
         x = np.random.default_rng(5).normal(size=(2, 3, 4, 4))
         w = cb.conv.weight.data.reshape(5, 3)
-        b = cb.conv.bias.data
         conv = np.zeros((2, 5, 4, 4))
         for n in range(2):
             for y in range(4):
                 for z in range(4):
-                    conv[n, :, y, z] = w @ x[n, :, y, z] + b
+                    conv[n, :, y, z] = w @ x[n, :, y, z]
         inv = 1.0 / np.sqrt(cb.bn.running_var.data + BN_EPS)
         expected = ((conv - cb.bn.running_mean.data[:, None, None])
                     * inv[:, None, None] * cb.bn.gamma.data[:, None, None]
@@ -420,8 +418,8 @@ class TestLayerGradients:
             cb = ConvBN(3, 4, rng(5), k=3, relu=relu)
             for mode in (cb.train, cb.eval):
                 mode()
-                assert cb(x)._parents == (x, cb.conv.weight, cb.conv.bias,
-                                          cb.bn.gamma, cb.bn.beta)
+                assert cb(x)._parents == (x, cb.conv.weight, cb.bn.gamma,
+                                          cb.bn.beta)
 
     def test_bilinear_resize(self):
         x = Tensor(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))

@@ -252,13 +252,18 @@ def _modules(value):
 class TestModuleWalk:
     def test_state_names_and_order_are_pinned(self):
         # checkpoints store entries in this order; a change breaks old files
-        names = [name for name, _ in
-                 SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()]
-        assert len(names) == 356
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        names = [name for name, _ in model.state()]
+        assert len(names) == 337
         assert names[0] == "encoder.stages.0.0.conv.weight"
         assert names[-1] == "decoder.head.fuse.bn.running_var"
         assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
-            "0b604586a0e5a7c4e5e7bf31c546a529ecb7875623e512db530132f6d7769b32")
+            "a6345578b4d930966f72641ac5a3fb73deb649386ec0145112c73916f5af01d5")
+        # a conv that feeds a batch norm has no bias: the batch mean cancels it
+        params = [(name, p) for name, p in model.named_parameters()]
+        assert not any(name.endswith("conv.bias") for name, _ in params)
+        assert len(params) == 299
+        assert sum(p.size for _, p in params) == 354_172
 
     def test_eval_and_train_reach_every_nested_module(self):
         model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)

@@ -287,28 +287,28 @@ def _op_cases(rng):
          lambda b: (depthwise_tokens(tok_x6, (3, 2), dw_w, b) ** 2.0).sum(),
          (3,), None),
         ("conv_norm",
-         lambda x: (conv_norm(x, conv_w, pw_b, gamma2, beta2, 1, 1e-5)[0]
+         lambda x: (conv_norm(x, conv_w, gamma2, beta2, 1, 1e-5)[0]
                     * cn_w).sum(),
          (2, 3, 4, 4), None),
         ("conv_norm_strided_relu",
-         lambda x: (conv_norm(x, conv_w, pw_b, relu_gamma, relu_beta, 2, 1e-5,
+         lambda x: (conv_norm(x, conv_w, relu_gamma, relu_beta, 2, 1e-5,
                               relu=True)[0] * cn_w3).sum(),
          (2, 3, 5, 5), None),
         ("conv_norm_fixed_stats",
-         lambda x: (conv_norm(x, conv_w, pw_b, gamma2, beta2, 1, 1e-5, stats2)[0]
+         lambda x: (conv_norm(x, conv_w, gamma2, beta2, 1, 1e-5, stats2)[0]
                     * cn_w).sum(),
          (2, 3, 4, 4), None),
         ("conv_norm_weight",
-         lambda w: (conv_norm(conv_x, w, pw_b, gamma2, beta2, 1, 1e-5)[0]
+         lambda w: (conv_norm(conv_x, w, gamma2, beta2, 1, 1e-5)[0]
                     * cn_w).sum(),
          (2, 3, 3, 3), None),
         ("conv_norm_gamma",
-         lambda gm: (conv_norm(conv_x, conv_w, pw_b, gm, beta2, 1, 1e-5)[0]
+         lambda gm: (conv_norm(conv_x, conv_w, gm, beta2, 1, 1e-5)[0]
                      * cn_w).sum(),
          (2,), None),
         ("conv_norm_parts",
-         lambda x: (conv_norm([x, x[:, :, 1:, 1:]], parts_w, pw_b, gamma2,
-                              beta2, 1, 1e-5)[0] * rc_w).sum(),
+         lambda x: (conv_norm([x, x[:, :, 1:, 1:]], parts_w, gamma2, beta2,
+                              1, 1e-5)[0] * rc_w).sum(),
          (2, 2, 3, 4), None),
     ]
 
@@ -435,13 +435,13 @@ class TestOneNodePrimitives:
             xt = Tensor(x.copy(), requires_grad=True)
             if fused:
                 out = cb(xt)
-            else:  # conv2d → normalize → relu, three nodes
-                out = bn(cb.conv(xt))
+            else:  # zero-bias conv2d → normalize → relu, three nodes
+                out = bn(conv2d(xt, cb.conv.weight, Tensor(np.zeros(4)), stride))
                 out = out.relu() if relu else out
             if g is None:
                 g = rng.normal(size=out.shape)
             (out * Tensor(g)).sum().backward()
-            params = (cb.conv.weight, cb.conv.bias, bn.gamma, bn.beta)
+            params = (cb.conv.weight, bn.gamma, bn.beta)
             results.append([out.data, xt.grad, *(p.grad for p in params),
                             bn.running_mean.data, bn.running_var.data])
         for a, b in zip(*results):
@@ -457,7 +457,7 @@ class TestOneNodePrimitives:
         parts = [rng.normal(size=s) for s in shapes[:n_parts]]
         c_in = sum(p.shape[1] for p in parts)
         params = (rng.normal(size=(5, c_in, 1, 1)), rng.normal(size=5),
-                  rng.normal(size=5), rng.normal(size=5))
+                  rng.normal(size=5))
         stats = None if training else (
             rng.normal(size=(1, 5, 1, 1)), rng.random(size=(1, 5, 1, 1)) + 0.5)
         g = rng.normal(size=(2, 5, 4, 6))
@@ -485,7 +485,7 @@ class TestOneNodePrimitives:
         # backward may write only its own masked copy, never that array
         rng = np.random.default_rng(11)
         leaves = [Tensor(rng.normal(size=s), requires_grad=True)
-                  for s in ((2, 3, 5, 4), (4, 3, 1, 1), (4,), (4,), (4,))]
+                  for s in ((2, 3, 5, 4), (4, 3, 1, 1), (4,), (4,))]
         other = Tensor(np.zeros((2, 4, 5, 4)), requires_grad=True)
         out = conv_norm(leaves[0], *leaves[1:], 1, 1e-5, relu=relu)[0]
         g = rng.normal(size=out.shape)
@@ -497,8 +497,8 @@ class TestOneNodePrimitives:
         one = Tensor(np.ones(3))
         for w_shape, stride in (((3, 4, 3, 3), 1), ((3, 4, 1, 1), 2)):
             with pytest.raises(ShapeError, match="takes one input"):
-                conv_norm(parts, Tensor(np.zeros(w_shape)), one, one, one,
-                          stride, 1e-5)
+                conv_norm(parts, Tensor(np.zeros(w_shape)), one, one, stride,
+                          1e-5)
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 6, 4)))

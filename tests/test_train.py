@@ -99,6 +99,13 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             cross_entropy(logits, np.zeros((1, 4, 4), dtype=int))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 2, 2), (1, 3, 0, 2)])
+    def test_empty_batch_rejected(self, shape):
+        # the label range check would reduce an empty mask
+        B, _, H, W = shape
+        with pytest.raises(DataError, match="is empty"):
+            cross_entropy(Tensor(np.zeros(shape)), np.zeros((B, H, W), dtype=int))
+
     def test_gradient_matches_softmax_minus_onehot(self):
         g = np.random.default_rng(3)
         for (B, K, H, W), scale in (((1, 3, 2, 2), 1.0), ((2, 4, 3, 5), 3.0)):
@@ -204,7 +211,7 @@ class TestBackwardTwice:
     def test_conv_norm(self, relu):
         g = np.random.default_rng(7)
         leaves = [Tensor(g.normal(size=s), requires_grad=True)
-                  for s in ((2, 3, 6, 5), (4, 3, 3, 3), (4,), (4,), (4,))]
+                  for s in ((2, 3, 6, 5), (4, 3, 3, 3), (4,), (4,))]
         out = conv_norm(leaves[0], *leaves[1:], 1, 1e-5, relu=relu)[0]
         self.once_and_twice((out * Tensor(g.normal(size=out.shape))).sum(),
                             leaves)
@@ -586,6 +593,23 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="lacks"):
             fresh.load_state(load_checkpoint(ckpt))
         # a rejected checkpoint leaves the model as it was
+        for b, (_, t) in zip(before, fresh.state()):
+            assert np.array_equal(b, t.data)
+
+    def test_checkpoint_with_an_entry_the_model_lacks_is_rejected(self, tmp_path):
+        # a checkpoint written while ConvBN convs carried a bias
+        from scaseg import load_checkpoint, save_checkpoint
+        model, _, _, _ = tiny_setup()
+        state = model.state()
+        bias = Tensor(np.zeros(state[0][1].shape[0]))
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, [state[0], ("encoder.stages.0.0.conv.bias", bias),
+                               *state[1:]])
+        fresh, _, _, _ = tiny_setup(seed=99)
+        before = [t.data.copy() for _, t in fresh.state()]
+        with pytest.raises(DataError, match="'encoder.stages.0.0.conv.bias' "
+                                            "not in model"):
+            fresh.load_state(load_checkpoint(ckpt))
         for b, (_, t) in zip(before, fresh.state()):
             assert np.array_equal(b, t.data)
 
