@@ -10,17 +10,16 @@ twice without ``zero_grad`` doubles every leaf gradient.
 All primitives are implemented on top of numpy; double precision is the
 default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
-``conv2d`` and ``normalize`` wrap one kernel each into a node, and the
-fused ``conv_norm`` node chains both, normalizing the conv output in place.
-The conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch
-mean would cancel one. A conv node keeps its input, never its im2col
-columns, which its backward rebuilds. A 1×1 ``conv_norm`` also takes a list
-of parts at different sizes: each part is projected by its column block of
-the weight at its own size, and the projections are resized and summed at
-the first part's size, which equals the conv of their resized concat
-without building it. The bilinear interpolation matrices are cached per
-(source, target) size pair and are read-only. GELU's Φ is summed from a
-Taylor table, ``_PHI_TABLE``.
+``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
+``conv_norm`` node chains both, normalizing the conv output in place. The
+conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch mean
+would cancel one. A k×k conv node keeps its input or a padded copy, never
+im2col columns. A 1×1 ``conv_norm`` also takes a list of parts at different
+sizes: each part is projected by its column block of the weight at its own
+size, and the projections are resized and summed at the first part's size,
+which equals the conv of their resized concat without building it. The
+bilinear interpolation matrices are cached per (source, target) size pair
+and are read-only. GELU's Φ is summed from a Taylor table, ``_PHI_TABLE``.
 """
 
 from __future__ import annotations
@@ -39,6 +38,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # graph recording switch; decoder.SegModel.__call__ clears it in eval mode
 _record = [True]
+# least output pixels for shifted GEMMs; 3×3 fwd + bwd, im2col → shifted ms:
+# (4,64,8,8) 2.29 → 2.36, (1,32,10,10) .33 → .36, (1,64,12,12) 1.19 → 1.16
+_SHIFTED_MIN_PIXELS = 144
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -555,22 +557,26 @@ def _conv2d(xs, w, stride, need_gx):
     x = xs[0]
     B, _, H, W = x.shape
     s, p = stride, kh // 2
-    Ho = (H + 2 * p - kh) // s + 1
-    Wo = (W + 2 * p - kw) // s + 1
+    Ho, Wo = (H + 2 * p - kh) // s + 1, (W + 2 * p - kw) // s + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
-    k = C_in * kh * kw
+    if s == 1 and Ho * Wo >= _SHIFTED_MIN_PIXELS:
+        return _shifted(x, w, p, need_gx[0])
 
-    def columns():  # im2col, (B, C_in·k·k, Ho·Wo)
-        xp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
-        xp[:, :, p:p + H, p:p + W] = x
-        cols = np.empty((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i:i + s * Ho:s, j:j + s * Wo:s]
-        return cols.reshape(B, k, Ho * Wo)
+    def window(n_out, n_in, off):  # outputs o whose source o·s + off is in x
+        a = max(0, -(off // s))
+        b = max(a, min(n_out, (n_in - 1 - off) // s + 1))
+        return slice(a, b), slice(a * s + off, b * s + off, s)
+    wins = [(i, j, *window(Ho, H, i - p), *window(Wo, W, j - p))
+            for i in range(kh) for j in range(kw)]
 
-    w2 = w.reshape(C_out, k)
+    def columns():  # im2col, (B, C_in·k·k, Ho·Wo); taps on the padding are 0
+        cols = np.zeros((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
+        for i, j, ro, ri, co, ci in wins:
+            cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
+        return cols.reshape(B, -1, Ho * Wo)
+
+    w2 = w.reshape(C_out, -1)
     out = np.matmul(w2, columns()).reshape(B, C_out, Ho, Wo)
 
     def backward(g):
@@ -579,12 +585,41 @@ def _conv2d(xs, w, stride, need_gx):
         gx = None
         if need_gx[0]:
             gcols = np.matmul(w2.T, g3).reshape(B, C_in, kh, kw, Ho, Wo)
-            gxp = np.zeros((B, C_in, H + 2 * p, W + 2 * p), x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += gcols[:, :, i, j]
-            gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+            gx = np.zeros(x.shape, x.dtype)
+            for i, j, ro, ri, co, ci in wins:
+                gx[:, :, ri, ci] += gcols[:, :, i, j, ro, co]
         return gx, gw.reshape(w.shape)
+
+    return out, backward
+
+
+def _shifted(x, w, p, need_gx):
+    """Stride-1 k×k ``_conv2d`` as k² shifted GEMMs (kn2row): in ``x`` padded
+    to flat rows of ``Wp = W + 2p``, tap (i, j) is the slice at ``i·Wp + j``
+    of length ``H·Wp``, and ``Σ_t W_t @ slice_t`` is the output with 2p
+    wrap-around columns a row. The backward pads ``g`` alike."""
+    (B, C_in, H, W), (C_out, _, k, _) = x.shape, w.shape
+    Wp, n = W + 2 * p, H * (W + 2 * p)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p + 1), (p, p))).reshape(B, C_in, -1)
+    offs = [i * Wp + j for i in range(k) for j in range(k)]
+    wt = w.transpose(2, 3, 0, 1).reshape(k * k, C_out, C_in)
+    acc, tmp = np.matmul(wt[0], xp[:, :, :n]), None
+    for t in range(1, k * k):
+        tmp = np.matmul(wt[t], xp[:, :, offs[t]:offs[t] + n], out=tmp)
+        acc += tmp
+    out = acc.reshape(B, C_out, H, Wp)[:, :, :, :W].copy()
+
+    def backward(g):
+        gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, 2 * p))).reshape(B, C_out, n)
+        gw = np.stack([np.add.reduce(np.matmul(
+            gp, xp[:, :, o:o + n].transpose(0, 2, 1)), 0) for o in offs])
+        gx = None
+        if need_gx:
+            gxp, tmp = np.zeros_like(xp), np.empty((B, C_in, n), xp.dtype)
+            for t, o in enumerate(offs):
+                gxp[:, :, o:o + n] += np.matmul(wt[t].T, gp, out=tmp)
+            gx = gxp.reshape(B, C_in, -1, Wp)[:, :, p:p + H, p:p + W]
+        return gx, gw.reshape(k, k, C_out, C_in).transpose(2, 3, 0, 1)
 
     return out, backward
 
@@ -623,18 +658,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """2-d cross-correlation on (B, C, H, W) input plus a per-channel bias,
     which this node alone adds to the bias-free kernel's output.
 
-    ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``.
-    Implemented as im2col + batched matmul. The node keeps ``x``, not its
-    k²-times-wider columns: the backward rebuilds the columns from ``x``,
-    so nothing may write ``x`` in place between the forward and the
-    backward. The backward computes the weight gradient as one GEMM per
-    image, ``g @ colsᵀ``, summed over the batch, and scatters the input
-    gradient with a fixed loop order so results are deterministic; it skips
-    the input gradient when ``x`` needs none.
-
-    A 1×1 kernel with stride 1 skips im2col: the column matrix is ``x``
-    itself (copied only if it is not C-contiguous), and the input gradient
-    is the column gradient reshaped, with no scatter.
+    ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``:
+    a GEMM at 1×1, shifted GEMMs at stride 1 from ``_SHIFTED_MIN_PIXELS``
+    output pixels, im2col otherwise, whose backward rebuilds the columns
+    from ``x``, so nothing may write ``x`` in place before it. The backward
+    skips the input gradient when ``x`` needs none.
     """
     out, backward = _conv2d([x.data], w.data, stride, [x.requires_grad])
     out += b.data.reshape(1, -1, 1, 1)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import SyntheticSample
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, ShapeError, UsageError
 from .module import Module
 from .rng import RandomSource
 from .serialization import save_checkpoint
@@ -22,6 +22,8 @@ def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
     It keeps one full-size buffer, ``e = exp(z - max_k z)``; the backward
     writes ``e·(g/n)/Σ_k e`` and subtracts ``g/n`` at the labels.
     """
+    if logits.ndim != 4:
+        raise ShapeError(f"cross_entropy expects (B, K, H, W) logits, got {logits.shape}")
     B, K, H, W = logits.shape
     mask = np.asarray(mask)
     if mask.shape != (B, H, W) or mask.size == 0:

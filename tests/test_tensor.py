@@ -12,6 +12,7 @@ import scaseg
 from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     bilinear_resize, concat, conv2d, gradient_check,
                     log_softmax, matmul, softmax)
+from scaseg import tensor as tensor_module
 from scaseg.layers import map_from_tokens, tokens_from_map
 from scaseg.tensor import (_cdf, _resize_matrix, attention, conv_norm,
                            depthwise_tokens, linear, normalize)
@@ -519,31 +520,83 @@ class TestKernelsMatchOldFormulation:
     """The kernels after their per-call trimming against the numpy
     formulation they replaced, bit for bit."""
 
-    @pytest.mark.parametrize("stride", [1, 2, 4])
-    def test_padded_conv2d_is_np_pad_im2col(self, stride):
-        rng = np.random.default_rng(stride)
-        x = rng.normal(size=(2, 3, 9, 8))
-        w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
-        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    @staticmethod
+    def np_pad_im2col(x, w, b, g, stride):
+        """conv2d through an ``np.pad`` copy and im2col: its output and the
+        gradients of ``x``, ``w`` and ``b`` under the upstream ``g``."""
+        B, C, H, W = x.shape
+        C_out, _, k, _ = w.shape
+        p = k // 2
+        Ho, Wo = g.shape[2:]
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = np.empty((B, C, k, k, Ho, Wo))
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride,
+                                      j:j + stride * Wo:stride]
+        cols = cols.reshape(B, C * k * k, Ho * Wo)
+        out = np.matmul(w.reshape(C_out, -1), cols).reshape(g.shape)
+        out += b.reshape(1, C_out, 1, 1)
+        g3 = g.reshape(B, C_out, Ho * Wo)
+        gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
+        gcols = np.matmul(w.reshape(C_out, -1).T, g3).reshape(B, C, k, k, Ho, Wo)
+        gxp = np.zeros(xp.shape)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, :, i:i + stride * Ho:stride,
+                    j:j + stride * Wo:stride] += gcols[:, :, i, j]
+        return (out, gxp[:, :, p:p + H, p:p + W], gw.reshape(w.shape),
+                g.sum(axis=(0, 2, 3)))
+
+    def run_conv2d(self, seed, x_shape, w_shape, stride, need_gx=True):
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        xt = Tensor(x, requires_grad=need_gx)
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
         out = conv2d(xt, wt, bt, stride=stride)
         g = rng.normal(size=out.shape)
         (out * Tensor(g)).sum().backward()
+        ref = self.np_pad_im2col(x, w, b, g, stride)
+        return (out.data, xt.grad, wt.grad, bt.grad), ref
 
-        B, _, Ho, Wo = out.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        cols = np.empty((B, 3, 3, 3, Ho, Wo))
-        for i in range(3):
-            for j in range(3):
-                cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride,
-                                      j:j + stride * Wo:stride]
-        cols = cols.reshape(B, 27, Ho * Wo)
-        ref = np.matmul(w.reshape(4, 27), cols).reshape(out.shape)
-        ref += b.reshape(1, 4, 1, 1)
-        g3 = g.reshape(B, 4, Ho * Wo)
-        ref_gw = np.matmul(g3, np.swapaxes(cols, -1, -2)).sum(axis=0)
-        assert np.array_equal(out.data, ref)
-        assert np.array_equal(wt.grad, ref_gw.reshape(w.shape))
-        assert np.array_equal(bt.grad, g.sum(axis=(0, 2, 3)))
+    @pytest.mark.parametrize("stride", [2, 4])
+    def test_padded_conv2d_is_np_pad_im2col(self, stride):
+        got, ref = self.run_conv2d(stride, (2, 3, 9, 8), (4, 3, 3, 3), stride)
+        for a, r in zip(got, ref):
+            assert np.array_equal(a, r)
+
+    # (x shape, w shape, x needs a gradient); grids below and at or above
+    # the shifted-GEMM crossover, H != W, odd sizes, 1x1 and 2x2 grids,
+    # C_in = 1, a 5x5 kernel wider than its grid, and an input that needs
+    # no gradient, as the stem's image
+    STRIDE_1 = [((2, 3, 9, 8), (4, 3, 3, 3), True),
+                ((2, 3, 13, 12), (4, 3, 3, 3), True),
+                ((1, 1, 1, 1), (2, 1, 3, 3), True),
+                ((2, 2, 2, 2), (3, 2, 3, 3), True),
+                ((2, 1, 17, 15), (3, 1, 3, 3), True),
+                ((1, 2, 1, 3), (2, 2, 5, 5), True),
+                ((2, 2, 12, 13), (3, 2, 5, 5), True),
+                ((2, 3, 16, 16), (8, 3, 3, 3), False),
+                ((2, 3, 4, 5), (8, 3, 3, 3), False)]
+
+    def test_stride_1_cases_cover_both_sides_of_the_crossover(self):
+        pixels = [x[2] * x[3] for x, _, _ in self.STRIDE_1]
+        assert min(pixels) < tensor_module._SHIFTED_MIN_PIXELS <= max(pixels)
+
+    @pytest.mark.parametrize("x_shape,w_shape,need_gx", STRIDE_1)
+    def test_stride_1_conv2d_is_np_pad_im2col_to_roundoff(self, x_shape,
+                                                         w_shape, need_gx):
+        # shifted GEMMs sum the taps in another order than im2col's GEMM
+        got, ref = self.run_conv2d(len(x_shape) + x_shape[2], x_shape,
+                                   w_shape, 1, need_gx)
+        if not need_gx:
+            assert got[1] is None
+            got, ref = (got[0], *got[2:]), (ref[0], *ref[2:])
+        for a, r in zip(got, ref):
+            assert a.shape == r.shape
+            np.testing.assert_allclose(a, r, rtol=0,
+                                       atol=1e-14 * np.abs(r).max())
 
     def test_resize_matrix_is_cached_and_read_only(self):
         m = _resize_matrix(5, 3)

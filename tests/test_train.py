@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scaseg import (AdamW, ConfigError, DataError, DecoderConfig,
-                    EncoderConfig, SegModel, SyntheticSample, Tensor,
-                    TrainConfig, UsageError, cross_entropy, evaluate,
+                    EncoderConfig, SegModel, ShapeError, SyntheticSample,
+                    Tensor, TrainConfig, UsageError, cross_entropy, evaluate,
                     gen_synthetic_dataset, log_softmax, miou, poly_lr,
                     train_loop)
 from scaseg.data import PALETTE
@@ -105,6 +105,11 @@ class TestCrossEntropy:
         B, _, H, W = shape
         with pytest.raises(DataError, match="is empty"):
             cross_entropy(Tensor(np.zeros(shape)), np.zeros((B, H, W), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 3, 2, 2, 1), (4,)])
+    def test_logits_not_4d_rejected(self, shape):
+        with pytest.raises(ShapeError, match="expects \\(B, K, H, W\\) logits"):
+            cross_entropy(Tensor(np.zeros(shape)), np.zeros((2, 2), dtype=int))
 
     def test_gradient_matches_softmax_minus_onehot(self):
         g = np.random.default_rng(3)
@@ -542,7 +547,9 @@ class TestTrainLoop:
 
     def test_step_memory_stays_small(self):
         # a default-model step at 128x128, batch 1: the graph holds about
-        # 3.9 MiB after the forward and the step peaks near 5.6 MiB; storing
+        # 4.3 MiB after the forward (a stride-1 3x3 conv on a 12x12 grid or
+        # larger keeps a padded copy of its input, any other its input, and
+        # none its im2col columns) and the step peaks near 5.5 MiB; storing
         # im2col columns or building the head's 4x-wide concat again takes
         # that to about 6.5 and 8.6 MiB
         model = SegModel(EncoderConfig(height=128, width=128), DecoderConfig(),
