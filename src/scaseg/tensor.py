@@ -595,12 +595,12 @@ def _conv2d(xs, w, stride, need_gx):
 
 def _shifted(x, w, p, need_gx):
     """Stride-1 k×k ``_conv2d`` as k² shifted GEMMs (kn2row): in ``x`` padded
-    to flat rows of ``Wp = W + 2p``, tap (i, j) is the slice at ``i·Wp + j``
-    of length ``H·Wp``, and ``Σ_t W_t @ slice_t`` is the output with 2p
-    wrap-around columns a row. The backward pads ``g`` alike."""
+    to flat rows of ``Wp = W + 2p``, tap (i, j) is the slice at ``i·Wp + j``,
+    and ``Σ_t W_t @ slice_t`` is the output with 2p wrap columns a row."""
     (B, C_in, H, W), (C_out, _, k, _) = x.shape, w.shape
     Wp, n = W + 2 * p, H * (W + 2 * p)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p + 1), (p, p))).reshape(B, C_in, -1)
+    xp = np.zeros((B, C_in, (H + 2 * p + 1) * Wp), x.dtype)
+    xp.reshape(B, C_in, -1, Wp)[:, :, p:p + H, p:p + W] = x
     offs = [i * Wp + j for i in range(k) for j in range(k)]
     wt = w.transpose(2, 3, 0, 1).reshape(k * k, C_out, C_in)
     acc, tmp = np.matmul(wt[0], xp[:, :, :n]), None
@@ -610,7 +610,8 @@ def _shifted(x, w, p, need_gx):
     out = acc.reshape(B, C_out, H, Wp)[:, :, :, :W].copy()
 
     def backward(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, 2 * p))).reshape(B, C_out, n)
+        gp = np.zeros((B, C_out, n), g.dtype)
+        gp.reshape(B, C_out, H, Wp)[:, :, :, :W] = g
         gw = np.stack([np.add.reduce(np.matmul(
             gp, xp[:, :, o:o + n].transpose(0, 2, 1)), 0) for o in offs])
         gx = None
@@ -660,9 +661,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``:
     a GEMM at 1×1, shifted GEMMs at stride 1 from ``_SHIFTED_MIN_PIXELS``
-    output pixels, im2col otherwise, whose backward rebuilds the columns
-    from ``x``, so nothing may write ``x`` in place before it. The backward
-    skips the input gradient when ``x`` needs none.
+    output pixels, else im2col, rebuilt by the backward from ``x``, which
+    nothing may write in place. No gradient is formed for an ``x`` needing none.
     """
     out, backward = _conv2d([x.data], w.data, stride, [x.requires_grad])
     out += b.data.reshape(1, -1, 1, 1)
