@@ -13,11 +13,11 @@ normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
 ``conv_norm`` node chains both, normalizing the conv output in place. The
 conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch mean
-would cancel one. A k×k conv node keeps its input or a padded copy, never
-im2col columns. A 1×1 ``conv_norm`` also takes a list of parts at different
-sizes: each part is projected by its column block of the weight at its own
-size, and the projections are resized and summed at the first part's size,
-which equals the conv of their resized concat without building it. The
+would cancel one. A k×k conv node keeps its input alone, never a padded copy
+or im2col columns. A 1×1 ``conv_norm`` also takes a list of parts at
+different sizes: each part is projected by its column block of the weight at
+its own size, and the projections are resized and summed at the first part's
+size, which equals the conv of their resized concat without building it. The
 bilinear interpolation matrices are cached per (source, target) size pair
 and are read-only. GELU's Φ is summed from a Taylor table, ``_PHI_TABLE``.
 """
@@ -38,8 +38,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # graph recording switch; decoder.SegModel.__call__ clears it in eval mode
 _record = [True]
-# least output pixels for shifted GEMMs; 3×3 fwd + bwd, im2col → shifted ms:
-# (4,64,8,8) 2.29 → 2.36, (1,32,10,10) .33 → .36, (1,64,12,12) 1.19 → 1.16
+# least output pixels for shifted GEMMs; 3×3, C_in = C_out, fwd + bwd, im2col
+# → shifted ms: (4,64,8,8) 2.42 → 2.38, (1,64,8,8) .58 → .69, (4,32,12,12)
+# 1.74 → 1.48, (4,8,16,16) .40 → .38, (4,32,16,16) 3.09 → 2.39
 _SHIFTED_MIN_PIXELS = 144
 
 
@@ -554,21 +555,14 @@ def _conv2d(xs, w, stride, need_gx):
     if len(xs) != 1:
         raise ShapeError(f"a {kh}x{kw} stride-{stride} conv takes one input, "
                          f"got {len(xs)} parts")
-    x = xs[0]
+    x, s, p = xs[0], stride, kh // 2
     B, _, H, W = x.shape
-    s, p = stride, kh // 2
     Ho, Wo = (H + 2 * p - kh) // s + 1, (W + 2 * p - kw) // s + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
-    if s == 1 and Ho * Wo >= _SHIFTED_MIN_PIXELS:
+    if s == 1 and kh % 2 and Ho * Wo >= _SHIFTED_MIN_PIXELS:
         return _shifted(x, w, p, need_gx[0])
-
-    def window(n_out, n_in, off):  # outputs o whose source o·s + off is in x
-        a = max(0, -(off // s))
-        b = max(a, min(n_out, (n_in - 1 - off) // s + 1))
-        return slice(a, b), slice(a * s + off, b * s + off, s)
-    wins = [(i, j, *window(Ho, H, i - p), *window(Wo, W, j - p))
-            for i in range(kh) for j in range(kw)]
+    wins = _taps(kh, p, s, H, W, Ho, Wo)
 
     def columns():  # im2col, (B, C_in·k·k, Ho·Wo); taps on the padding are 0
         cols = np.zeros((B, C_in, kh, kw, Ho, Wo), dtype=x.dtype)
@@ -594,24 +588,28 @@ def _conv2d(xs, w, stride, need_gx):
 
 
 def _shifted(x, w, p, need_gx):
-    """Stride-1 k×k ``_conv2d`` as k² shifted GEMMs (kn2row): in ``x`` padded
-    to flat rows of ``Wp = W + 2p``, tap (i, j) is the slice at ``i·Wp + j``,
-    and ``Σ_t W_t @ slice_t`` is the output with 2p wrap columns a row."""
+    """Stride-1 ``_conv2d`` of odd k as k² shifted GEMMs (kn2row): tap (i, j)
+    is the slice at ``i·Wp + j`` of ``x`` zero-padded into flat rows of ``Wp
+    = W + 2p``; ``Σ_t W_t @ slice_t`` is the output plus 2p wrap columns a
+    row. The node keeps ``x``, which its backward pads again."""
     (B, C_in, H, W), (C_out, _, k, _) = x.shape, w.shape
     Wp, n = W + 2 * p, H * (W + 2 * p)
-    xp = np.zeros((B, C_in, (H + 2 * p + 1) * Wp), x.dtype)
-    xp.reshape(B, C_in, -1, Wp)[:, :, p:p + H, p:p + W] = x
     offs = [i * Wp + j for i in range(k) for j in range(k)]
     wt = w.transpose(2, 3, 0, 1).reshape(k * k, C_out, C_in)
-    acc, tmp = np.matmul(wt[0], xp[:, :, :n]), None
-    for t in range(1, k * k):
-        tmp = np.matmul(wt[t], xp[:, :, offs[t]:offs[t] + n], out=tmp)
-        acc += tmp
+
+    def flat(a, rows, q):  # zeros in flat rows of Wp, a at row q, column q
+        f = np.zeros((B, a.shape[1], rows * Wp), a.dtype)
+        f.reshape(B, a.shape[1], rows, Wp)[:, :, q:q + H, q:q + W] = a
+        return f
+
+    xp = flat(x, H + 2 * p + 1, p)
+    acc, tmp = np.matmul(wt[0], xp[:, :, :n]), np.empty((B, C_out, n), x.dtype)
+    for t, o in enumerate(offs[1:], 1):
+        acc += np.matmul(wt[t], xp[:, :, o:o + n], out=tmp)
     out = acc.reshape(B, C_out, H, Wp)[:, :, :, :W].copy()
 
     def backward(g):
-        gp = np.zeros((B, C_out, n), g.dtype)
-        gp.reshape(B, C_out, H, Wp)[:, :, :, :W] = g
+        xp, gp = flat(x, H + 2 * p + 1, p), flat(g, H, 0)
         gw = np.stack([np.add.reduce(np.matmul(
             gp, xp[:, :, o:o + n].transpose(0, 2, 1)), 0) for o in offs])
         gx = None
@@ -623,6 +621,18 @@ def _shifted(x, w, p, need_gx):
         return gx, gw.reshape(k, k, C_out, C_in).transpose(2, 3, 0, 1)
 
     return out, backward
+
+
+@functools.cache
+def _taps(k, p, s, H, W, Ho, Wo):
+    """Per tap of a k×k, stride-s, pad-p conv from H×W to Ho×Wo, the slices
+    ``(i, j, out rows, in rows, out cols, in cols)`` of its in-input reads."""
+    def window(n_out, n_in, off):
+        a = max(0, -(off // s))
+        b = max(a, min(n_out, (n_in - 1 - off) // s + 1))
+        return slice(a, b), slice(a * s + off, b * s + off, s)
+    return tuple((i, j, *window(Ho, H, i - p), *window(Wo, W, j - p))
+                 for i in range(k) for j in range(k))
 
 
 def _pointwise(xs, w, need_gx):
@@ -661,8 +671,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     ``w`` is (C_out, C_in, k, k), a square kernel zero-padded by ``k // 2``:
     a GEMM at 1×1, shifted GEMMs at stride 1 from ``_SHIFTED_MIN_PIXELS``
-    output pixels, else im2col, rebuilt by the backward from ``x``, which
-    nothing may write in place. No gradient is formed for an ``x`` needing none.
+    output pixels, else im2col. Each keeps ``x`` alone, which nothing may
+    write in place, and forms no gradient for an ``x`` needing none.
     """
     out, backward = _conv2d([x.data], w.data, stride, [x.requires_grad])
     out += b.data.reshape(1, -1, 1, 1)

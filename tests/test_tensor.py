@@ -568,8 +568,8 @@ class TestKernelsMatchOldFormulation:
 
     # (x shape, w shape, x needs a gradient); grids below and at or above
     # the shifted-GEMM crossover, H != W, odd sizes, 1x1 and 2x2 grids,
-    # C_in = 1, a 5x5 kernel wider than its grid, and an input that needs
-    # no gradient, as the stem's image
+    # C_in = 1, a 5x5 kernel wider than its grid, an input that needs no
+    # gradient, as the stem's image, and an even kernel, which im2col runs
     STRIDE_1 = [((2, 3, 9, 8), (4, 3, 3, 3), True),
                 ((2, 3, 13, 12), (4, 3, 3, 3), True),
                 ((1, 1, 1, 1), (2, 1, 3, 3), True),
@@ -578,6 +578,7 @@ class TestKernelsMatchOldFormulation:
                 ((1, 2, 1, 3), (2, 2, 5, 5), True),
                 ((2, 2, 12, 13), (3, 2, 5, 5), True),
                 ((2, 3, 16, 16), (8, 3, 3, 3), False),
+                ((2, 3, 16, 15), (4, 3, 2, 2), True),
                 ((2, 3, 4, 5), (8, 3, 3, 3), False)]
 
     def test_stride_1_cases_cover_both_sides_of_the_crossover(self):
@@ -590,6 +591,9 @@ class TestKernelsMatchOldFormulation:
         # shifted GEMMs sum the taps in another order than im2col's GEMM
         got, ref = self.run_conv2d(len(x_shape) + x_shape[2], x_shape,
                                    w_shape, 1, need_gx)
+        k = w_shape[2]
+        assert got[0].shape[2:] == tuple(n + 2 * (k // 2) - k + 1
+                                         for n in x_shape[2:])
         if not need_gx:
             assert got[1] is None
             got, ref = (got[0], *got[2:]), (ref[0], *ref[2:])

@@ -547,9 +547,9 @@ class TestTrainLoop:
 
     def test_step_memory_stays_small(self):
         # a default-model step at 128x128, batch 1: the graph holds about
-        # 4.3 MiB after the forward (a stride-1 3x3 conv on a 12x12 grid or
-        # larger keeps a padded copy of its input, any other its input, and
-        # none its im2col columns) and the step peaks near 5.5 MiB; storing
+        # 4.2 MiB after the forward (a k x k conv keeps its input, never a
+        # padded copy or its im2col columns) and the step peaks near 5.5 MiB,
+        # where the im2col backward's columns took it to 5.9 MiB; storing
         # im2col columns or building the head's 4x-wide concat again takes
         # that to about 6.5 and 8.6 MiB
         model = SegModel(EncoderConfig(height=128, width=128), DecoderConfig(),
