@@ -14,7 +14,8 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``f`` maps a tensor to a scalar Tensor. Returns the maximum over checked
-    elements of |analytic - numeric| / max(1, |analytic|). With
+    elements of |analytic - numeric| / max(1, |analytic|), or inf if one of
+    them is NaN, as a non-finite analytic gradient makes it. With
     ``max_samples`` set, a deterministic subset of elements is probed instead
     of all of them (useful when x is a whole model's worth of parameters).
     """
@@ -59,5 +60,7 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
             if err < worst:
                 break
             err = min(err, probe(i, smaller))
+        if np.isnan(err):  # a NaN gradient, whose error max() would drop
+            return np.inf
         worst = max(worst, err)
     return worst

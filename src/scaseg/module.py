@@ -64,7 +64,8 @@ class Module:
 
     def load_state(self, named_tensors):
         """Copy a checkpoint into the model. Every model entry must be in it,
-        and the model is left untouched when the checkpoint is rejected."""
+        finite, and for a batch-norm ``running_var`` at least 0; the model is
+        left untouched when the checkpoint is rejected."""
         current = dict(self.state())
         pairs = list(named_tensors)
         for name, tensor in pairs:
@@ -74,6 +75,12 @@ class Module:
                 raise DataError(
                     f"checkpoint entry {name!r} has shape {tensor.shape}, "
                     f"model expects {current[name].shape}")
+            if not np.isfinite(tensor.data).all():
+                raise DataError(f"checkpoint entry {name!r} holds non-finite "
+                                f"values (NaN or inf)")
+            if name.endswith("running_var") and (tensor.data < 0).any():
+                raise DataError(f"checkpoint entry {name!r} holds a negative "
+                                f"variance")
         names = {name for name, _ in pairs}
         missing = [name for name in current if name not in names]
         if missing:

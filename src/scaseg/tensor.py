@@ -11,7 +11,9 @@ All primitives are implemented on top of numpy; double precision is the
 default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
-``conv_norm`` node chains both, normalizing the conv output in place. The
+``conv_norm`` node chains both, normalizing the conv output in place. Given
+running statistics (eval mode), both use one other kernel instead, batch
+norm as a per-channel affine map, whose γ gradient never divides by γ. The
 conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch mean
 would cancel one. A k×k conv node keeps its input alone, never a padded copy
 or im2col columns. A 1×1 ``conv_norm`` also takes a list of parts at
@@ -474,26 +476,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
-def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
-    """Array kernel of ``normalize``: returns ``(out, backward, mean, var)``
-    with ``backward(gout, writable=False) -> (gx, ggamma, gbeta)``. With
-    ``inplace`` the caller's ``x`` is overwritten by ``x̂``, which the
-    backward keeps. Train-mode batch norm's ``gx = k·(gout − gβ/n) −
-    x̂·(k·gγ/n)``, ``k = γ·inv``, goes into ``gout`` if ``writable``."""
+def _normalize(x, gamma, beta, axes, channel_axis, eps, inplace):
+    """Array kernel of ``normalize`` without ``stats``: returns ``(out,
+    backward, mean, var)`` with ``backward(gout, writable=False) -> (gx,
+    ggamma, gbeta)``. With ``inplace`` the caller's ``x`` is overwritten by
+    ``x̂``, which the backward keeps. Train-mode batch norm's ``gx =
+    k·(gout − gβ/n) − x̂·(k·gγ/n)``, ``k = γ·inv``, goes into ``gout`` if
+    ``writable``."""
     pshape = [1] * x.ndim
     pshape[channel_axis] = gamma.size
     g = gamma.reshape(pshape)
-    out = np.empty_like(x) if stats is None else None  # d·d, then the output
-    if stats is None:
-        n = math.prod([x.shape[a] for a in axes])
-        mean = np.add.reduce(x, axes, keepdims=True) * (1.0 / n)
-        d = np.add(x, -mean, out=x if inplace else None)
-        var = np.add.reduce(np.multiply(d, d, out=out), axes, keepdims=True) * (1.0 / n)
-        inv = (var + eps) ** -0.5
-    else:
-        mean, var = stats
-        d = np.add(x, -mean, out=x if inplace else None)
-        inv = 1.0 / np.sqrt(var + eps)
+    out = np.empty_like(x)  # d·d, then the output
+    n = math.prod([x.shape[a] for a in axes])
+    mean = np.add.reduce(x, axes, keepdims=True) * (1.0 / n)
+    d = np.add(x, -mean, out=x if inplace else None)
+    var = np.add.reduce(np.multiply(d, d, out=out), axes, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
     xhat = np.multiply(d, inv, out=d)
     out = np.multiply(xhat, g, out=out)
     out += beta.reshape(pshape)
@@ -503,22 +501,45 @@ def _normalize(x, gamma, beta, axes, channel_axis, eps, stats, inplace):
         scratch = gout * xhat
         ggamma = np.add.reduce(scratch, param_axes, keepdims=True)
         gbeta = np.add.reduce(gout, param_axes, keepdims=True)
-        if stats is None and sorted(a % gout.ndim for a in axes) == list(param_axes):
+        if sorted(a % gout.ndim for a in axes) == list(param_axes):
             k = g * inv
             gx = np.subtract(gout, gbeta / n, out=gout if writable else None)
             gx *= k
             gx -= np.multiply(xhat, k * ggamma / n, out=scratch)
         else:
             gx = gout * g
-            if stats is None:
-                # the mean form; sum / n is exactly what ndarray.mean computes
-                m2 = np.add.reduce(gx * xhat, axes, keepdims=True) / n
-                gx -= np.add.reduce(gx, axes, keepdims=True) / n
-                gx -= np.multiply(xhat, m2, out=scratch)
+            # the mean form; sum / n is exactly what ndarray.mean computes
+            m2 = np.add.reduce(gx * xhat, axes, keepdims=True) / n
+            gx -= np.add.reduce(gx, axes, keepdims=True) / n
+            gx -= np.multiply(xhat, m2, out=scratch)
             gx *= inv
         return gx, ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
 
     return out, backward, mean, var
+
+
+def _affine_norm(x, gamma, beta, stats, channel_axis, eps, source, out=None):
+    """Eval-mode batch norm given ``stats = (μ, σ²)``: ``x·a + (β − μ·a)``,
+    ``a = γ/√(σ² + ε)``, into ``out``, which may be ``x``. Returns ``(out,
+    backward)`` with ``backward(gout, writable=False) -> (gx, ggamma,
+    gbeta)``, which takes ``x`` again from ``source()``, as ``out`` may have
+    overwritten it, for ``gγ = Σ gout·(x − μ)/√(σ² + ε)``: nothing divides by
+    γ or ``a``. ``gx = gout·a`` goes into ``gout`` if ``writable``."""
+    pshape = [1] * x.ndim
+    pshape[channel_axis] = gamma.size
+    mean, var = stats
+    a = gamma.reshape(pshape) / np.sqrt(var + eps)
+    out = np.multiply(x, a, out=out)
+    out += beta.reshape(pshape) - mean * a
+
+    def backward(gout, writable=False):
+        axes = tuple(i for i in range(gout.ndim) if pshape[i] == 1)
+        gbeta = np.add.reduce(gout, axes)
+        ggamma = np.add.reduce((source() - mean) * gout, axes)
+        return (np.multiply(gout, a, out=gout if writable else None),
+                ggamma / np.sqrt(var + eps).reshape(-1), gbeta)
+
+    return out, backward
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
@@ -527,12 +548,18 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
 
     Without ``stats`` the mean and (biased) variance are taken over ``axes``
     of ``x`` and differentiated through; ``stats=(mean, var)`` supplies them
-    as constants broadcastable to ``x`` (batch-norm eval mode). ``gamma``
+    as per-channel keepdims constants (batch-norm eval mode), and the node
+    is ``_affine_norm``'s map, equal to this to roundoff. ``gamma``
     and ``beta`` are per-channel along ``channel_axis``. Returns
     ``(out, mean, var)``, the statistics as keepdims numpy arrays.
     """
-    out, backward, mean, var = _normalize(x.data, gamma.data, beta.data, axes,
-                                          channel_axis, eps, stats, False)
+    if stats is None:
+        out, backward, mean, var = _normalize(
+            x.data, gamma.data, beta.data, axes, channel_axis, eps, False)
+    else:
+        (mean, var), (out, backward) = stats, _affine_norm(
+            x.data, gamma.data, beta.data, stats, channel_axis, eps,
+            lambda: x.data)
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
@@ -684,10 +711,12 @@ def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
               eps: float, stats=None, relu: bool = False):
     """Bias-free conv → batch ``normalize`` over (B, H, W) → optional ReLU
     as one node (the batch mean would cancel a conv bias). The conv output
-    is this node's own, so the normalization overwrites it with ``x̂`` and
-    the ReLU clamps it in place; the backward masks by the output's sign.
-    Values and gradients equal zero-bias ``conv2d``, ``normalize`` and ReLU
-    nodes composed, bit for bit. Returns ``(out, mean, var)``.
+    is this node's own, so the normalization and the ReLU overwrite it in
+    place; the backward masks by the output's sign. Values and gradients
+    equal zero-bias ``conv2d``, ``normalize`` and ReLU nodes composed: bit
+    for bit without ``stats``, and to roundoff with them (eval mode), whose
+    backward recomputes the conv output for γ's gradient. Returns ``(out,
+    mean, var)``.
 
     ``x`` is a tensor or, for a 1×1 stride-1 conv, a list of parts whose
     channels concatenate to ``w``'s input channels: the conv then runs on
@@ -695,10 +724,15 @@ def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
     projected at its own size before its resize (see ``_pointwise``).
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
-    y, conv_backward = _conv2d([p.data for p in parts], w.data, stride,
-                               [p.requires_grad for p in parts])
-    out, norm_backward, mean, var = _normalize(
-        y, gamma.data, beta.data, (0, 2, 3), 1, eps, stats, True)
+    xs, need = [p.data for p in parts], [p.requires_grad for p in parts]
+    y, conv_backward = _conv2d(xs, w.data, stride, need)
+    if stats is None:
+        out, norm_backward, mean, var = _normalize(
+            y, gamma.data, beta.data, (0, 2, 3), 1, eps, True)
+    else:  # y is overwritten, so the backward recomputes it
+        (mean, var), (out, norm_backward) = stats, _affine_norm(
+            y, gamma.data, beta.data, stats, 1, eps,
+            lambda: _conv2d(xs, w.data, stride, need)[0], out=y)
     if relu:
         np.maximum(out, 0, out=out)
 

@@ -194,6 +194,24 @@ class TestForward:
                      "--checkpoint", str(ckpt)]) == 3
         assert "encoder.stages.0.0.conv.bias" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [
+        ("encoder.stages.0.0.bn.running_var", np.nan),
+        ("encoder.stages.0.0.bn.running_var", -1.0),
+        ("encoder.stages.0.0.conv.weight", np.inf)])
+    def test_corrupt_checkpoint_entry_exits_3(self, tmp_path, capsys, name,
+                                              value):
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        state = SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()
+        dict(state)[name].data.flat[0] = value
+        ckpt = tmp_path / "corrupt.ckpt"
+        save_checkpoint(ckpt, state)
+        assert main(["forward", str(inp), "--out", str(tmp_path),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "logits.tsr").exists()
+
 
 @pytest.mark.parametrize("case,code", [
     ("missing-config", 2), ("non-utf8-config", 2),

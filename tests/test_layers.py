@@ -384,7 +384,22 @@ class TestLayerGradients:
         cb.bn.running_var.data[...] = g.random(size=4) + 0.5
         cb.bn.gamma.data[...] = g.normal(size=4)
         cb.bn.beta.data[...] = g.normal(size=4)
-        for t in (x, cb.bn.gamma, cb.bn.beta):
+        for t in (x, cb.conv.weight, cb.bn.gamma, cb.bn.beta):
+            err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
+            assert err < 1e-4
+
+    def test_conv_bn_eval_mode_relu_with_a_zero_gamma(self):
+        # channel 0 has γ = 0, channel 1 sits far below zero, where the ReLU
+        # passes no gradient; a backward dividing by γ or a gives NaN here
+        cb = ConvBN(3, 4, rng(2), k=3, relu=True)
+        cb.eval()
+        g = np.random.default_rng(5)
+        x = Tensor(g.normal(size=(2, 3, 4, 4)))
+        cb.bn.running_mean.data[...] = g.normal(size=4)
+        cb.bn.running_var.data[...] = g.random(size=4) + 0.5
+        cb.bn.gamma.data[...] = [0.0, 0.3, 0.3, -0.3]
+        cb.bn.beta.data[...] = [0.5, -50.0, 5.0, 5.0]
+        for t in (x, cb.conv.weight, cb.bn.gamma, cb.bn.beta):
             err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
             assert err < 1e-4
 

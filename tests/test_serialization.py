@@ -162,6 +162,35 @@ class TestCheckpointFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
+class TestLoadState:
+    @pytest.mark.parametrize("name,value", [
+        ("encoder.stages.0.0.bn.running_var", np.nan),
+        ("encoder.stages.0.0.bn.running_var", -1.0),
+        ("encoder.stages.0.0.conv.weight", np.inf)])
+    def test_corrupt_entry_is_refused_and_leaves_the_model(self, name, value):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        before = [(n, t.data.copy()) for n, t in model.state()]
+        # another seed's entries, so any entry copied before the refusal shows
+        state = [(n, Tensor(t.data.copy())) for n, t in
+                 SegModel(EncoderConfig(), DecoderConfig(), seed=1).state()]
+        dict(state)[name].data.flat[0] = value
+        with pytest.raises(DataError, match=name):
+            model.load_state(state)
+        assert [n for n, _ in model.state()] == [n for n, _ in before]
+        for (_, t), (_, data) in zip(model.state(), before):
+            assert np.array_equal(t.data, data)
+
+    def test_zero_variance_loads(self):
+        # ε keeps the eval-mode batch norm finite at σ² = 0
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0)
+        state = [(n, Tensor(t.data.copy())) for n, t in model.state()]
+        dict(state)["encoder.stages.0.0.bn.running_var"].data[...] = 0.0
+        model.load_state(state)
+        assert not model.encoder.stages[0][0].bn.running_var.data.any()
+        logits = model.eval()(Tensor(np.ones((1, 3, 64, 64))))
+        assert np.isfinite(logits.data).all()
+
+
 class TestConfigParsing:
     def test_comments_and_blank_lines(self):
         text = "# full line comment\n\nnum_blocks = 2  # trailing\n"

@@ -152,6 +152,14 @@ class TestGradientCheck:
         err = gradient_check(lambda t: (ln(t) * ln(t)).sum(), x, eps=1e-4)
         assert err < 1e-5
 
+    def test_nan_analytic_gradient_fails(self):
+        # the sum's gradient with a NaN in its middle entry; max() would
+        # drop that entry's NaN error and report the others' 0
+        def bad_sum(t):
+            g = np.where(np.arange(3) == 1, np.nan, 1.0)
+            return Tensor._from_op(t.data.sum(), (t,), lambda _: (g,))
+        assert gradient_check(bad_sum, Tensor(np.ones(3))) == math.inf
+
     def test_non_scalar_function_rejected(self):
         x = Tensor(np.ones(3))
         with pytest.raises(UsageError):
@@ -207,6 +215,8 @@ def _op_cases(rng):
     # 1x1 conv_norm over parts: a same-size part and an upsampled one
     rc_w = Tensor(rng.normal(size=(2, 2, 3, 4)))
     parts_w = Tensor(rng.normal(size=(2, 4, 1, 1)))
+    # drawn last, and their rows last, so the other rows keep their draws
+    norm_x = Tensor(rng.normal(size=(2, 3, 2, 2)))
     return [
         ("add", lambda x: (x + other).sum(), (3, 4), None),
         ("mul", lambda x: (x * other).sum(), (3, 4), None),
@@ -310,6 +320,15 @@ def _op_cases(rng):
          lambda x: (conv_norm([x, x[:, :, 1:, 1:]], parts_w, gamma2, beta2,
                               1, 1e-5)[0] * rc_w).sum(),
          (2, 2, 3, 4), None),
+        # eval-mode batch norm with γ as the input and γ₀ = 0
+        ("normalize_fixed_stats_zero_gamma",
+         lambda gm: (normalize(norm_x, gm, beta, (0, 2, 3), 1, 1e-5, stats)[0]
+                     * norm_w).sum(),
+         (3,), "first_zero"),
+        ("conv_norm_fixed_stats_zero_gamma",
+         lambda gm: (conv_norm(conv_x, conv_w, gm, beta2, 1, 1e-5, stats2)[0]
+                     * cn_w).sum(),
+         (2,), "first_zero"),
     ]
 
 
@@ -320,6 +339,8 @@ def test_every_op_passes_gradient_check(seed):
         data = rng.normal(size=shape)
         if note == "away_from_zero":
             data = np.where(np.abs(data) < 0.05, data + 0.2, data)
+        elif note == "first_zero":  # γ = 0: no backward may divide by it
+            data[0] = 0.0
         err = gradient_check(fn, Tensor(data), eps=1e-4)
         assert err < 1e-4, f"{name} failed gradient check: {err}"
 
