@@ -51,7 +51,6 @@ class ScaStage(Module):
 
     def __init__(self, kv_dim: int, q_dim: int, rng: RandomSource,
                  heads: int = 1):
-        super().__init__()
         self.ln_kv = LayerNorm(kv_dim)
         self.ln_q = LayerNorm(q_dim)
         self.attn = MultiHeadAttention(kv_dim, q_dim, rng.spawn(1), heads=heads)
@@ -75,7 +74,6 @@ class AggregatedSemanticsExtractor(Module):
     """
 
     def __init__(self, channels, cfg: DecoderConfig, rng: RandomSource):
-        super().__init__()
         self.variant = cfg.attention_variant
         self.blocks = [
             [ScaStage(channels[t], channels[t + 1], rng.spawn(100 * l + t),
@@ -104,7 +102,6 @@ class SelfOnConcatExtractor(Module):
     """Ablation variant: self-attention over channel-concatenated features."""
 
     def __init__(self, channels, cfg: DecoderConfig, rng: RandomSource):
-        super().__init__()
         self.channels = tuple(channels)
         total = sum(channels)
         self.blocks = [
@@ -129,7 +126,6 @@ class SemanticCombiner(Module):
     """
 
     def __init__(self, channels: int, variant: str, rng: RandomSource):
-        super().__init__()
         self.variant = variant
         self.proj_f = ConvBN(channels, channels, rng.spawn(1))
         self.proj_s = ConvBN(channels, channels, rng.spawn(2))
@@ -159,7 +155,6 @@ class SegmentationHead(Module):
 
     def __init__(self, channels, head_channels: int, num_classes: int,
                  rng: RandomSource):
-        super().__init__()
         self.projs = [ConvBN(c, head_channels, rng.spawn(i), relu=True)
                       for i, c in enumerate(channels)]
         self.fuse = ConvBN(4 * head_channels, head_channels, rng.spawn(10),
@@ -176,7 +171,6 @@ class SegmentationHead(Module):
 
 class Decoder(Module):
     def __init__(self, enc_channels, cfg: DecoderConfig, rng: RandomSource):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         if cfg.attention_variant == "self-on-concat":
@@ -202,7 +196,6 @@ class SegModel(Module):
 
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                  seed: int = 0):
-        super().__init__()
         rng = RandomSource(seed)
         self.encoder = Encoder(enc_cfg, rng.spawn(1))
         self.decoder = Decoder(enc_cfg.channels, dec_cfg, rng.spawn(2))

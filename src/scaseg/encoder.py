@@ -32,7 +32,6 @@ class FeaturePyramid:
 
 class Encoder(Module):
     def __init__(self, cfg: EncoderConfig, rng: RandomSource):
-        super().__init__()
         cfg.validate()
         stages = []
         c_prev = 3

@@ -21,6 +21,8 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
     """
     if eps <= 0:
         raise UsageError("eps must be positive")
+    if max_samples is not None and max_samples < 1:
+        raise UsageError("max_samples must be at least 1; None probes every element")
     x.zero_grad()
     x.requires_grad = True
     out = f(x)

@@ -27,7 +27,6 @@ class Linear(Module):
     """Affine map on the last axis; truncated-normal init, std 0.02."""
 
     def __init__(self, d_in: int, d_out: int, rng: RandomSource):
-        super().__init__()
         self.weight = Tensor(rng.truncated_normal((d_in, d_out), std=0.02),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
@@ -38,7 +37,6 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, channels: int):
-        super().__init__()
         self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
@@ -55,7 +53,6 @@ class BatchNorm2d(Module):
     shares its statistics through ``normalized``."""
 
     def __init__(self, channels: int):
-        super().__init__()
         self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
@@ -99,7 +96,6 @@ class Conv2d(Module):
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: RandomSource,
                  init_std: float | None = None, bias: bool = True):
-        super().__init__()
         if init_std is None:
             init_std = np.sqrt(2.0 / (c_out * k * k))
         self.weight = Tensor(rng.normal((c_out, c_in, k, k), std=init_std),
@@ -118,7 +114,6 @@ class ConvBN(Module):
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, k: int = 1,
                  stride: int = 1, relu: bool = False):
-        super().__init__()
         self.stride = stride
         self.conv = Conv2d(c_in, c_out, k, rng, bias=False)
         self.bn = BatchNorm2d(c_out)
@@ -142,7 +137,6 @@ class MultiHeadAttention(Module):
 
     def __init__(self, kv_dim: int, q_dim: int, rng: RandomSource,
                  heads: int = 1):
-        super().__init__()
         if q_dim % heads != 0:
             raise ConfigError(f"query dim {q_dim} not divisible by {heads} heads")
         self.heads = heads
@@ -164,7 +158,6 @@ class MixFFN(Module):
     EXPANSION = 4
 
     def __init__(self, channels: int, rng: RandomSource):
-        super().__init__()
         hidden = self.EXPANSION * channels
         self.fc1 = Conv2d(channels, hidden, 1, rng.spawn(1))
         # depthwise weights (hidden, 1, 3, 3), drawn at the per-channel fan-out 9

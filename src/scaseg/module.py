@@ -19,8 +19,7 @@ from .tensor import Tensor
 
 
 class Module:
-    def __init__(self):
-        self.training = True
+    training = True
 
     def named_parameters(self):
         return ((name, v) for name, v in _walk(self, "")

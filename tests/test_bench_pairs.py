@@ -1,6 +1,8 @@
-"""The summary that ``tools/bench_pairs.py`` writes into a BENCH file."""
+"""``tools/bench_pairs.py``: the summary it writes into a BENCH file, and how
+it places the two sides (``git`` and ``run_once`` stubbed)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,7 @@ def test_quartiles_counts_and_provenance():
     runs = [(result(p, 100.0, commit="a"),
              result(c, 100.0, failed=i % 2, commit="b"))
             for i, (p, c) in enumerate(zip(parent, change))]
-    doc = bench_pairs.summarize({"train-256": runs}, "p0",
-                                "c0 + uncommitted changes")["train-256"]
+    doc = bench_pairs.summarize({"train-256": runs}, "p0", "c0")["train-256"]
     assert doc["pairs"] == 4
     op = doc["metrics"]["op_rel_p50"]
     assert op["unit"] == "ref"
@@ -40,8 +41,7 @@ def test_quartiles_counts_and_provenance():
     assert doc["correct"]["change"] == [True, False, True, False]
     # The commits given replace what each run recorded; the rest is kept.
     assert doc["provenance"]["parent"] == {"git_commit": "p0", "nproc": 2}
-    assert doc["provenance"]["change"] == {
-        "git_commit": "c0 + uncommitted changes", "nproc": 2}
+    assert doc["provenance"]["change"] == {"git_commit": "c0", "nproc": 2}
     assert runs[0][0]["provenance"]["git_commit"] == "a"
 
 
@@ -54,3 +54,78 @@ def test_workloads_are_kept_apart():
     assert doc["train-64"]["metrics"]["peak_rss_mb"]["lower_in"] == 0
     assert doc["infer-mixed"]["metrics"]["op_rel_p50"]["lower_in"] == 0
     assert doc["infer-mixed"]["metrics"]["peak_rss_mb"]["lower_in"] == 1
+
+
+class FakeRepo:
+    """Stands in for ``git`` and ``run_once``: records every call, and the
+    run named by ``fail_at`` (counting from 0) raises."""
+
+    def __init__(self, dirty="", fail_at=None):
+        self.dirty, self.fail_at = dirty, fail_at
+        self.added, self.removed, self.runs = [], [], []
+
+    def git(self, *args):
+        if args[0] == "status":
+            return self.dirty
+        if args[0] == "rev-parse":
+            return "sha-" + args[1]
+        assert args[:2] in (("worktree", "add"), ("worktree", "remove"))
+        (self.added if args[1] == "add" else self.removed).append(args[-2:])
+        return ""
+
+    def run_once(self, tree, workload, seed):
+        if len(self.runs) == self.fail_at:
+            raise RuntimeError("run failed")
+        self.runs.append(tree)
+        return result(5.0, 80.0, commit="unknown")
+
+
+@pytest.fixture
+def fake(monkeypatch, tmp_path):
+    def make(**kw):
+        repo = FakeRepo(**kw)
+        monkeypatch.setattr(bench_pairs, "git", repo.git)
+        monkeypatch.setattr(bench_pairs, "run_once", repo.run_once)
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        return repo
+    return make
+
+
+def test_dirty_tree_exits_2_before_any_worktree(fake, tmp_path, capsys):
+    repo = fake(dirty=" M src/scaseg/tensor.py")
+    assert bench_pairs.main(["--number", "7"]) == 2
+    assert repo.added == [] and repo.runs == []
+    assert "src/scaseg/tensor.py" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_both_sides_run_from_sibling_worktrees(fake, tmp_path):
+    repo = fake()
+    assert bench_pairs.main(["--number", "7", "--parent", "abc",
+                             "--workload", "train-64"]) == 0
+    (parent, parent_sha), (change, change_sha) = repo.added
+    assert (parent_sha, change_sha) == ("sha-abc", "sha-HEAD")
+    parent, change = Path(parent), Path(change)
+    assert (parent.name, change.name) == ("parent", "change")
+    assert parent.parent == change.parent
+    assert len(str(parent)) == len(str(change))
+    assert set(repo.runs) == {parent, change} and tmp_path not in repo.runs
+    # the side that runs first alternates from pair to pair
+    firsts = repo.runs[::2]
+    assert firsts == [parent, change] * (bench_pairs.PAIRS // 2)
+    assert repo.removed == [("--force", str(parent)), ("--force", str(change))]
+    assert not parent.parent.exists()
+    doc = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert (doc["parent"], doc["change"]) == ("sha-abc", "sha-HEAD")
+    prov = doc["workloads"]["train-64"]["provenance"]
+    assert prov["change"]["git_commit"] == "sha-HEAD"
+
+
+def test_worktrees_are_removed_when_a_run_raises(fake, tmp_path):
+    repo = fake(fail_at=3)
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(["--number", "7"])
+    assert len(repo.runs) == 3
+    assert repo.removed == [("--force", path) for path, _ in repo.added]
+    assert len(repo.removed) == 2
+    assert not (tmp_path / "BENCH_7.json").exists()

@@ -169,6 +169,13 @@ class TestGradientCheck:
         with pytest.raises(UsageError):
             gradient_check(lambda t: t.sum(), Tensor(np.ones(2)), eps=0.0)
 
+    @pytest.mark.parametrize("max_samples", [0, -1])
+    def test_no_samples_rejected(self, max_samples):
+        # probing no element would report 0.0, a pass, for any gradient
+        with pytest.raises(UsageError):
+            gradient_check(lambda t: t.sum(), Tensor(np.ones(2)),
+                           max_samples=max_samples)
+
 
 def _op_cases(rng):
     """(name, fn, input) triples covering every graph-recorded primitive."""

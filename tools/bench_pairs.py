@@ -1,19 +1,21 @@
 """Alternating parent/change benchmark pairs, summarized into a BENCH file.
 
-    python3 tools/bench_pairs.py --number N --seed 41
+    python3 tools/bench_pairs.py --number N --seed 41 --parent REV
 
-Checks out ``--parent`` (default ``HEAD``) into a temporary ``git worktree``
-and runs ``perfbench/run.py --seconds 35 --trace 0`` alternately there and
-in the working tree, 10 pairs per workload at one seed; the side that goes
-first alternates from pair to pair. After each run it reads
-``perfbench/results/<workload>-trace0.json`` of the tree that ran and the
-``correct`` flag from the run's last output line. It writes
+Both sides are commits: ``--parent`` (default ``HEAD``, an A/A pass) and
+``HEAD``, checked out with ``git worktree add --detach`` into the siblings
+``<tmp>/parent`` and ``<tmp>/change``, whose paths have the same length, so
+both sides run alike. Uncommitted changes under ``src/`` or ``perfbench/``
+exit 2 before any checkout: commit first. It runs ``perfbench/run.py
+--seconds 35 --trace 0`` alternately in the two trees, 10 pairs per workload
+at one seed; the side that goes first alternates from pair to pair. After
+each run it reads ``perfbench/results/<workload>-trace0.json`` of the tree
+that ran and the ``correct`` flag from the run's last output line. It writes
 ``BENCH_<number>.json`` at the repo root: per workload and metric, each
 side's values and quartiles and the number of pairs where the change reads
-lower, the ``failed`` counts and the provenance blocks, whose
-``git_commit`` names the parent's sha and the working tree's ``HEAD``
-(marked when ``src/`` or ``perfbench/`` hold uncommitted changes). The
-worktree is removed at the end. Standard library and numpy only.
+lower, the ``failed`` counts and the provenance blocks, whose ``git_commit``
+names each side's sha. Both worktrees are removed at the end, also when a
+run fails. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def summarize(pairs: dict, parent_commit: str, change_commit: str) -> dict:
     BENCH file's per-workload block. Lower is better for every metric. The
     provenance blocks' ``git_commit`` is replaced by the commits given: a
     run cannot name its own, since perfbench reads ``.git/HEAD``, which a
-    worktree does not have, and the working tree may be uncommitted."""
+    worktree does not have."""
     out = {}
     for name, runs in pairs.items():
         metrics = {}
@@ -105,36 +107,39 @@ def main(argv=None) -> int:
                     help="repeatable; default every workload")
     args = ap.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
-    parent_sha = git("rev-parse", args.parent)
+    dirty = git("status", "--porcelain", "--", "src", "perfbench")
+    if dirty:
+        print(f"uncommitted changes; commit them first:\n{dirty}", file=sys.stderr)
+        return 2
+    shas = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    tree = tmp / "parent"
-    git("worktree", "add", "--detach", str(tree), parent_sha)
+    trees = {}
     pairs = {}
     try:
+        for side, sha in shas.items():
+            git("worktree", "add", "--detach", str(tmp / side), sha)
+            trees[side] = tmp / side
         for workload in workloads:
             runs = pairs[workload] = []
             for i in range(PAIRS):
-                order = (tree, ROOT) if i % 2 == 0 else (ROOT, tree)
-                res = {t: run_once(t, workload, args.seed) for t in order}
-                runs.append((res[tree], res[ROOT]))
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                res = {s: run_once(trees[s], workload, args.seed) for s in order}
+                runs.append((res["parent"], res["change"]))
                 p, c = (r["metrics"]["op_rel_p50"]["value"]
                         for r in runs[-1])
                 print(f"{workload} pair {i + 1}/{PAIRS}: op_rel_p50 "
                       f"{p:.3f} -> {c:.3f}", flush=True)
     finally:
-        git("worktree", "remove", "--force", str(tree))
+        for tree in trees.values():
+            git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
-    head = git("rev-parse", "HEAD")
-    uncommitted = bool(git("status", "--porcelain", "--", "src", "perfbench"))
     doc = {
         "command": "python3 tools/bench_pairs.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
-        "parent": parent_sha,
-        "change": {"head": head, "uncommitted": uncommitted},
+        **shas,
         "seed": args.seed, "seconds": SECONDS,
-        "workloads": summarize(
-            pairs, parent_sha,
-            head + (" + uncommitted changes" if uncommitted else "")),
+        "workloads": summarize(pairs, shas["parent"], shas["change"]),
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
