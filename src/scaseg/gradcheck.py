@@ -16,8 +16,8 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
     ``f`` maps a tensor to a scalar Tensor. Returns the maximum over checked
     elements of |analytic - numeric| / max(1, |analytic|), or inf if one of
     them is NaN, as a non-finite analytic gradient makes it. With
-    ``max_samples`` set, a deterministic subset of elements is probed instead
-    of all of them (useful when x is a whole model's worth of parameters).
+    ``max_samples`` set (at least 1), a deterministic subset of elements is
+    probed instead of all of them (useful for a whole model's parameters).
     """
     if eps <= 0:
         raise UsageError("eps must be positive")
