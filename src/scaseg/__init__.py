@@ -5,8 +5,8 @@ from .config import (DecoderConfig, EncoderConfig, FullConfig, TrainConfig,
                      load_config)
 from .costmodel import CostReport, ablation_table, cost_report
 from .data import PALETTE, SyntheticSample, gen_synthetic_dataset
-from .decoder import (AggregatedSemanticsExtractor, Decoder, ResizedFeatures,
-                      ScaStage, SegModel, SegmentationHead, SelfOnConcatExtractor,
+from .decoder import (AggregatedSemanticsExtractor, Decoder, ScaStage,
+                      SegModel, SegmentationHead, SelfOnConcatExtractor,
                       SemanticCombiner, resize_pyramid)
 from .encoder import Encoder, FeaturePyramid
 from .errors import (ConfigError, DataError, NumericalError, ShapeError,

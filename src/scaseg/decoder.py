@@ -12,35 +12,24 @@ semantics are the last block's outputs at levels 2..4.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import tensor
 from .config import DecoderConfig, EncoderConfig
 from .encoder import Encoder, FeaturePyramid
 from .errors import ConfigError, ShapeError
-from .layers import (ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention,
-                     map_from_tokens, tokens_from_map)
+from .layers import ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention
 from .module import Module
 from .rng import RandomSource
 from .tensor import Tensor, bilinear_resize, concat
 
 
-@dataclass
-class ResizedFeatures:
-    maps: tuple       # R_1..R_4 as (B, C_i, H/64, W/64)
-    grid: tuple       # (H/64, W/64)
-
-    def tokens(self):
-        return [tokens_from_map(m) for m in self.maps]
-
-
-def resize_pyramid(p: FeaturePyramid) -> ResizedFeatures:
+def resize_pyramid(p: FeaturePyramid) -> tuple:
+    """R_1..R_4 as (B, H/64, W/64, C_i) tokens."""
     H, W = p.source_size
     if H % 64 or W % 64:
         raise ConfigError(f"source size {H}x{W} must be divisible by 64")
-    grid = (H // 64, W // 64)
-    maps = tuple(bilinear_resize(f, grid) for f in p.features)
-    return ResizedFeatures(maps, grid)
+    return tuple(bilinear_resize(f, (H // 64, W // 64)).permute(0, 2, 3, 1)
+                 for f in p.features)
 
 
 class ScaStage(Module):
@@ -57,12 +46,12 @@ class ScaStage(Module):
         self.ln_ffn = LayerNorm(q_dim)
         self.ffn = MixFFN(q_dim, rng.spawn(2))
 
-    def __call__(self, kv: Tensor, q: Tensor, grid):
-        if kv.shape[-2] != q.shape[-2]:
+    def __call__(self, kv: Tensor, q: Tensor):
+        if kv.shape[:-1] != q.shape[:-1]:
             raise ShapeError(
-                f"token counts disagree: kv {kv.shape} vs q {q.shape}")
+                f"token grids disagree: kv {kv.shape} vs q {q.shape}")
         a = self.attn(self.ln_kv(kv), self.ln_q(q)) + q
-        return self.ffn(self.ln_ffn(a), grid) + a
+        return self.ffn(self.ln_ffn(a)) + a
 
 
 class AggregatedSemanticsExtractor(Module):
@@ -82,18 +71,17 @@ class AggregatedSemanticsExtractor(Module):
             for l in range(cfg.num_blocks)
         ]
 
-    def __call__(self, r: ResizedFeatures):
-        r_tokens = r.tokens()
+    def __call__(self, r):
         prev = None
         for block in self.blocks:
             current = []
             for t, stage in enumerate(block):
-                q = r_tokens[t + 1] if prev is None else prev[t]
+                q = r[t + 1] if prev is None else prev[t]
                 if self.variant == "successive":
-                    kv = r_tokens[0] if t == 0 else current[t - 1]
+                    kv = r[0] if t == 0 else current[t - 1]
                 else:
-                    kv = r_tokens[t]
-                current.append(stage(kv, q, r.grid))
+                    kv = r[t]
+                current.append(stage(kv, q))
             prev = current
         return tuple(prev)
 
@@ -109,13 +97,13 @@ class SelfOnConcatExtractor(Module):
             for l in range(cfg.num_blocks)
         ]
 
-    def __call__(self, r: ResizedFeatures):
-        x = concat(r.tokens(), axis=-1)
+    def __call__(self, r):
+        x = concat(r, axis=-1)
         for block in self.blocks:
-            x = block(x, x, r.grid)
+            x = block(x, x)
         # split channels back into levels 2..4; level 1's slice is dropped
         ends = tuple(itertools.accumulate(self.channels))
-        return tuple(x[:, :, a:b] for a, b in zip(ends, ends[1:]))
+        return tuple(x[..., a:b] for a, b in zip(ends, ends[1:]))
 
 
 class SemanticCombiner(Module):
@@ -130,10 +118,8 @@ class SemanticCombiner(Module):
         self.proj_f = ConvBN(channels, channels, rng.spawn(1))
         self.proj_s = ConvBN(channels, channels, rng.spawn(2))
 
-    def __call__(self, feature: Tensor, semantics: Tensor, grid) -> Tensor:
-        s_map = map_from_tokens(semantics, grid)
-        target = (feature.shape[2], feature.shape[3])
-        up = bilinear_resize(s_map, target)
+    def __call__(self, feature: Tensor, semantics: Tensor) -> Tensor:
+        up = bilinear_resize(semantics.permute(0, 3, 1, 2), feature.shape[2:])
         if up.shape != feature.shape:
             raise ShapeError(
                 f"upsampled semantics {up.shape} do not match {feature.shape}")
@@ -184,9 +170,8 @@ class Decoder(Module):
                                      cfg.num_classes, rng.spawn(9))
 
     def __call__(self, p: FeaturePyramid) -> Tensor:
-        r = resize_pyramid(p)
-        semantics = self.ase(r)
-        enhanced = [combiner(p[j + 1], semantics[j], r.grid)
+        semantics = self.ase(resize_pyramid(p))
+        enhanced = [combiner(p[j + 1], semantics[j])
                     for j, combiner in enumerate(self.scm)]
         return self.head(p[0], enhanced, p.source_size)
 

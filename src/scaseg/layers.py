@@ -1,11 +1,11 @@
 """Differentiable layers: attention, norms, convolutions, FFN.
 
-Conventions: image tensors are (B, C, H, W); token tensors are (B, N, C)
-with tokens flattened row-major from the spatial grid. LayerNorm epsilon is
-1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. The norms (through the
-shared ``tensor.normalize``), ConvBN with its ReLU (``tensor.conv_norm``),
-Linear, the attention core and the depthwise conv are one graph node each,
-and tokens stay (B, N, C) through the mix-FFN.
+Conventions: image tensors are (B, C, H, W); token tensors are the
+channels-last maps (B, h, w, C), so the token grid is their shape. LayerNorm
+epsilon is 1e-6, BatchNorm epsilon 1e-5 with momentum 0.1. The norms
+(through the shared ``tensor.normalize``), ConvBN with its ReLU
+(``tensor.conv_norm``), Linear, the attention core and the depthwise conv are
+one graph node each, and tokens stay (B, h, w, C) through the mix-FFN.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class MultiHeadAttention(Module):
         self.w_k = Linear(kv_dim, q_dim, rng.spawn(2))
         self.w_v = Linear(kv_dim, q_dim, rng.spawn(3))
         self.w_o = Linear(q_dim, q_dim, rng.spawn(4))
-        self.last_attention = None  # latest attention weights, (B, h, n_q, n_kv)
+        self.last_attention = None  # latest weights, (B, heads, n_q, n_kv)
 
     def __call__(self, kv_src: Tensor, q_src: Tensor) -> Tensor:
         out, self.last_attention = attention(
@@ -164,22 +164,8 @@ class MixFFN(Module):
         self.dw = Conv2d(1, hidden, 3, rng.spawn(2), init_std=np.sqrt(2.0 / 9))
         self.fc2 = Conv2d(hidden, channels, 1, rng.spawn(3))
 
-    def __call__(self, x: Tensor, grid) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         hidden = linear(x, self.fc1.weight, self.fc1.bias)
-        hidden = depthwise_tokens(hidden, grid, self.dw.weight, self.dw.bias)
+        hidden = depthwise_tokens(hidden, self.dw.weight, self.dw.bias)
         return linear(hidden.gelu(), self.fc2.weight, self.fc2.bias)
 
-
-def tokens_from_map(x: Tensor) -> Tensor:
-    """(B, C, H, W) -> (B, H*W, C), row-major tokens."""
-    B, C, H, W = x.shape
-    return x.permute(0, 2, 3, 1).reshape(B, H * W, C)
-
-
-def map_from_tokens(x: Tensor, grid) -> Tensor:
-    """(B, N, C) -> (B, C, h, w)."""
-    h, w = int(grid[0]), int(grid[1])
-    B, n, c = x.shape
-    if n != h * w:
-        raise ShapeError(f"{n} tokens cannot form a {h}x{w} grid")
-    return x.reshape(B, h, w, c).permute(0, 3, 1, 2)

@@ -39,17 +39,14 @@ class Module:
     def zero_grad(self):
         self.flat_grad.fill(0.0)
 
-    def train(self):
-        return self._set_mode(True)
-
-    def eval(self):
-        return self._set_mode(False)
-
-    def _set_mode(self, training: bool):
+    def train(self, training: bool = True):
         for _, v in _walk(self, ""):
             if isinstance(v, Module):
                 v.training = training
         return self
+
+    def eval(self):
+        return self.train(False)
 
     def state(self):
         """Parameters plus non-trainable buffers (batch-norm running stats)."""

@@ -22,6 +22,7 @@ its own size, and the projections are resized and summed at the first part's
 size, which equals the conv of their resized concat without building it. The
 bilinear interpolation matrices are cached per (source, target) size pair
 and are read-only. GELU's Φ is summed from a Taylor table, ``_PHI_TABLE``.
+Tokens are channels-last ``(B, h, w, C)`` maps, so their shape is the grid.
 """
 
 from __future__ import annotations
@@ -339,41 +340,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ W + b`` over the last axis as one node. ``w`` is ``(d_in,
-    d_out)`` or a 1×1 conv weight ``(d_out, d_in, 1, 1)``, read through its
-    transposed 2-D view; its gradient keeps ``w``'s shape."""
+    """``x @ W + b`` over the last axis of ``(B, h, w, C)`` tokens as one node.
+    ``w`` is ``(C, d_out)`` or a 1×1 conv weight ``(d_out, C, 1, 1)``, read
+    through its transposed 2-D view; its gradient keeps ``w``'s shape."""
     wm = w.data if w.ndim == 2 else w.data.reshape(w.shape[0], -1).T
     d_in, d_out = wm.shape
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear expects last dim {d_in}, got {x.shape}")
-    out = np.matmul(x.data, wm)
+    # one GEMM per image, since BLAS picks its kernel by row count
+    xv = x.data.reshape(x.shape[0], -1, d_in)
+    out = np.matmul(xv, wm)
     out += b.data
 
     def backward(g):
-        g2, x2 = g.reshape(-1, d_out), x.data.reshape(-1, d_in)
+        gx = np.matmul(g.reshape(out.shape), wm.T).reshape(x.shape)
+        g2, x2 = g.reshape(-1, d_out), xv.reshape(-1, d_in)
         gw = x2.T @ g2 if w.ndim == 2 else (g2.T @ x2).reshape(w.shape)
-        return np.matmul(g, wm.T), gw, np.add.reduce(g2, 0)
+        return gx, gw, np.add.reduce(g2, 0)
 
-    return Tensor._from_op(out, (x, w, b), backward)
+    return Tensor._from_op(out.reshape(*x.shape[:-1], d_out), (x, w, b), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
     """Multi-head ``softmax(QKᵀ/√d_k)·V``, head split and merge included, as
-    one node. ``q`` is ``(..., n_q, d)``, ``k`` and ``v`` ``(..., n_kv, d)``.
-    Returns the output and ``P``, ``(B, heads, n_q, n_kv)`` with the leading
-    axes flattened into ``B``. The backward reads ``P`` and never writes it;
-    its softmax part is ``dS = P ∘ (dP − rowsum(dP ∘ P))``."""
-    if (k.shape != v.shape or q.shape[-1] % heads
-            or k.shape[:-2] + k.shape[-1:] != q.shape[:-2] + q.shape[-1:]):
+    one node on ``(B, h, w, d)`` tokens; every axis between the batch and the
+    channel axis is a token axis. Returns the output, shaped as ``q``, and
+    ``P``, ``(B, heads, n_q, n_kv)``. The backward reads ``P`` and never
+    writes it; its softmax part is ``dS = P ∘ (dP − rowsum(dP ∘ P))``."""
+    if (min(q.ndim, k.ndim) < 3 or k.shape != v.shape or q.shape[-1] % heads
+            or k.shape[0] != q.shape[0] or k.shape[-1] != q.shape[-1]):
         raise ShapeError(f"attention with {heads} heads got q {q.shape}, "
                          f"k {k.shape}, v {v.shape}")
     dk = q.shape[-1] // heads
 
-    def split(t):  # (..., n, d) -> (B, heads, n, dk)
-        return t.reshape(-1, t.shape[-2], heads, dk).transpose(0, 2, 1, 3)
+    def split(t):  # (B, ..., d) -> (B, heads, n, dk)
+        return t.reshape(len(t), -1, heads, dk).transpose(0, 2, 1, 3)
 
-    def merge(t):  # (B, heads, n, dk) -> (..., n, d)
-        return t.transpose(0, 2, 1, 3).reshape(*q.shape[:-2], t.shape[2], -1)
+    def merge(t, shape):  # (B, heads, n, dk) -> shape
+        return t.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dk)
@@ -386,49 +390,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
         gh = split(g)
         dp = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         ds = (dp - np.add.reduce(dp * p, -1, keepdims=True)) * p * scale
-        return (merge(np.matmul(ds, kh)),
-                merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)),
-                merge(np.matmul(p.transpose(0, 1, 3, 2), gh)))
+        return (merge(np.matmul(ds, kh), q.shape),
+                merge(np.matmul(ds.transpose(0, 1, 3, 2), qh), k.shape),
+                merge(np.matmul(p.transpose(0, 1, 3, 2), gh), k.shape))
 
-    return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), backward), p
+    return Tensor._from_op(merge(np.matmul(p, vh), q.shape), (q, k, v),
+                           backward), p
 
 
-def depthwise_tokens(x: Tensor, grid, w: Tensor, b: Tensor) -> Tensor:
+def depthwise_tokens(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Depthwise k×k conv (stride 1, zero padding k // 2, ``w`` of shape
-    ``(C, 1, k, k)``) on ``(..., h·w, C)`` row-major tokens of ``grid = (h,
-    w)``, as one node: a shifted multiply-add per tap over a zero-padded
-    channels-last buffer, skipping taps that see only padding. The backward
-    runs the same shifts."""
-    h, wd = int(grid[0]), int(grid[1])
+    ``(C, 1, k, k)``) on ``(B, h, w, C)`` tokens, as one node: a shifted
+    multiply-add per tap over a zero-padded channels-last buffer, skipping
+    taps that see only padding. The backward runs the same shifts."""
     C, k = w.shape[0], w.shape[-1]
-    if x.shape[-2:] != (h * wd, C) or w.shape != (C, 1, k, k):
-        raise ShapeError(f"depthwise weight {w.shape} on tokens {x.shape} "
-                         f"over a {h}x{wd} grid")
+    if x.ndim != 4 or x.shape[-1] != C or w.shape != (C, 1, k, k):
+        raise ShapeError(f"depthwise weight {w.shape} on tokens {x.shape}")
+    B, h, wd = x.shape[:3]
     p = k // 2
-    xm = x.data.reshape(-1, h, wd, C)
-    xp = np.zeros((len(xm), h + 2 * p, wd + 2 * p, C), x.dtype)
-    xp[:, p:p + h, p:p + wd] = xm
+    xp = np.zeros((B, h + 2 * p, wd + 2 * p, C), x.dtype)
+    xp[:, p:p + h, p:p + wd] = x.data
     taps = w.data[:, 0].transpose(1, 2, 0)  # (k, k, C)
     live = [(i, j) for i in range(k) for j in range(k)
             if abs(i - p) < h and abs(j - p) < wd]
-    out = np.zeros(xm.shape, xm.dtype)
+    out = np.zeros(x.shape, x.dtype)
     for i, j in live:
         out += xp[:, i:i + h, j:j + wd] * taps[i, j]
     out += b.data
 
     def backward(g):
-        gm = g.reshape(xm.shape)
         gxp = np.zeros(xp.shape, xp.dtype)
         gtaps = np.zeros(taps.shape, taps.dtype)
         for i, j in live:
-            gxp[:, i:i + h, j:j + wd] += gm * taps[i, j]
+            gxp[:, i:i + h, j:j + wd] += g * taps[i, j]
             gtaps[i, j] = np.add.reduce(
-                (gm * xp[:, i:i + h, j:j + wd]).reshape(-1, C), 0)
-        return (gxp[:, p:p + h, p:p + wd].reshape(x.shape),
+                (g * xp[:, i:i + h, j:j + wd]).reshape(-1, C), 0)
+        return (gxp[:, p:p + h, p:p + wd],
                 gtaps.transpose(2, 0, 1).reshape(w.shape),
-                np.add.reduce(gm.reshape(-1, C), 0))
+                np.add.reduce(g.reshape(-1, C), 0))
 
-    return Tensor._from_op(out.reshape(x.shape), (x, w, b), backward)
+    return Tensor._from_op(out, (x, w, b), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

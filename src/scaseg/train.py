@@ -157,13 +157,14 @@ def evaluate(model: Module, samples: list[SyntheticSample], K: int) -> float:
     model.eval()
     inter = np.zeros(K, dtype=np.int64)
     union = np.zeros(K, dtype=np.int64)
-    for sample in samples:
-        logits = model(Tensor(sample.image[None]))
-        i, u = _iou_counts(logits.data.argmax(axis=1)[0], sample.mask, K)
-        inter += i
-        union += u
-    if was_training:
-        model.train()
+    try:
+        for sample in samples:
+            logits = model(Tensor(sample.image[None]))
+            i, u = _iou_counts(logits.data.argmax(axis=1)[0], sample.mask, K)
+            inter += i
+            union += u
+    finally:
+        model.train(was_training)
     return _mean_iou(inter, union)
 
 

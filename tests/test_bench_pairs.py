@@ -3,6 +3,7 @@ it places the two sides (``git`` and ``run_once`` stubbed)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,18 @@ def test_worktrees_are_removed_when_a_run_raises(fake, tmp_path):
     assert repo.removed == [("--force", path) for path, _ in repo.added]
     assert len(repo.removed) == 2
     assert not (tmp_path / "BENCH_7.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stdout", ["", "\n", "not json\n", "[1]\n", '{"ok": true}\n'],
+    ids=["empty", "blank", "not-json", "not-an-object", "no-correct-key"])
+def test_unreadable_result_line_is_a_runtime_error(monkeypatch, tmp_path,
+                                                   stdout):
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    (results / "train-64-trace0.json").write_text("{}")
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda args, **kw: subprocess.CompletedProcess(args, 0, stdout, ""))
+    with pytest.raises(RuntimeError, match=f"train-64 in {tmp_path}"):
+        bench_pairs.run_once(tmp_path, "train-64", 41)

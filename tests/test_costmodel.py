@@ -162,8 +162,8 @@ def counted_macs(cfg: FullConfig, monkeypatch, H: int | None = None) -> int:
                 counter[0] += n_kv
         return out, p
 
-    def depthwise_tokens(x, grid, w, b):
-        out = real_depthwise(x, grid, w, b)
+    def depthwise_tokens(x, w, b):
+        out = real_depthwise(x, w, b)
         c, _, kh, kw = w.shape
         for _ in range(out.size // c):  # tokens
             for _ in range(c):

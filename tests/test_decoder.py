@@ -29,12 +29,11 @@ def make_decoder(seed=0, channels=(8, 16, 32, 64), **kwargs):
 class TestResizePyramid:
     def test_desk_scale_all_single_pixel(self):
         r = resize_pyramid(make_pyramid())
-        assert r.grid == (1, 1)
-        for m, c in zip(r.maps, (8, 16, 32, 64)):
-            assert m.shape == (1, c, 1, 1)
+        for t, c in zip(r, (8, 16, 32, 64)):
+            assert t.shape == (1, 1, 1, c)
         # R_4 comes from a 2x2 map: bilinear average of the four pixels
         f4 = make_pyramid()[3].data
-        assert np.allclose(r.maps[3].data[0, :, 0, 0], f4.mean(axis=(2, 3))[0],
+        assert np.allclose(r[3].data[0, 0, 0, :], f4.mean(axis=(2, 3))[0],
                            atol=1e-12)
 
     def test_identity_when_source_equals_target(self):
@@ -44,14 +43,13 @@ class TestResizePyramid:
         # check the constant-preservation contract instead
         const = FeaturePyramid(
             tuple(Tensor(np.full(f.shape, 1.5)) for f in p), (128, 128))
-        for m in resize_pyramid(const).maps:
-            assert np.allclose(m.data, 1.5, atol=1e-12)
+        for t in resize_pyramid(const):
+            assert np.allclose(t.data, 1.5, atol=1e-12)
 
     def test_grid_shapes_scale_with_input(self):
         r = resize_pyramid(make_pyramid(H=128, W=192))
-        assert r.grid == (2, 3)
-        for m in r.maps:
-            assert m.shape[2:] == (2, 3)
+        for t in r:
+            assert t.shape[1:3] == (2, 3)
 
 
 class TestScaStage:
@@ -61,34 +59,35 @@ class TestScaStage:
             if "gamma" not in name:
                 p.data[...] = 0.0
         g = np.random.default_rng(0)
-        kv = Tensor(g.normal(size=(4, 3)))
-        q = Tensor(g.normal(size=(4, 5)))
-        s = stage(kv, q, (2, 2))
+        kv = Tensor(g.normal(size=(1, 2, 2, 3)))
+        q = Tensor(g.normal(size=(1, 2, 2, 5)))
+        s = stage(kv, q)
         assert np.array_equal(s.data, q.data)
 
     def test_output_channels_follow_query(self):
         stage = ScaStage(8, 16, RandomSource(1), heads=2)
         g = np.random.default_rng(1)
-        s = stage(Tensor(g.normal(size=(4, 8))),
-                  Tensor(g.normal(size=(4, 16))), (2, 2))
-        assert s.shape == (4, 16)
+        s = stage(Tensor(g.normal(size=(1, 2, 2, 8))),
+                  Tensor(g.normal(size=(1, 2, 2, 16))))
+        assert s.shape == (1, 2, 2, 16)
 
     def test_token_count_mismatch(self):
         from scaseg import ShapeError
         stage = ScaStage(3, 3, RandomSource(2))
         with pytest.raises(ShapeError):
-            stage(Tensor(np.zeros((3, 3))), Tensor(np.zeros((4, 3))), (2, 2))
+            stage(Tensor(np.zeros((1, 3, 1, 3))),
+                  Tensor(np.zeros((1, 2, 2, 3))))
 
     def test_matches_straight_line_evaluation(self):
         # A = MHA(LN(kv), LN(q)) + q ; S = FFN(LN(A)) + A, evaluated step
         # by step with the stage's own sublayers
         stage = ScaStage(3, 4, RandomSource(3))
         g = np.random.default_rng(2)
-        kv = Tensor(g.normal(size=(2, 3)))
-        q = Tensor(g.normal(size=(2, 4)))
-        s = stage(kv, q, (1, 2))
+        kv = Tensor(g.normal(size=(1, 1, 2, 3)))
+        q = Tensor(g.normal(size=(1, 1, 2, 4)))
+        s = stage(kv, q)
         a_ref = stage.attn(stage.ln_kv(kv), stage.ln_q(q)).data + q.data
-        s_ref = stage.ffn(stage.ln_ffn(Tensor(a_ref)), (1, 2)).data + a_ref
+        s_ref = stage.ffn(stage.ln_ffn(Tensor(a_ref))).data + a_ref
         assert np.allclose(s.data, s_ref, atol=1e-12)
 
 
@@ -99,7 +98,7 @@ class TestAseSuccessive:
         zero_ase_weights(dec)
         r = resize_pyramid(make_pyramid(H=128, W=128))
         out = dec.ase(r)
-        for s, expected in zip(out, r.tokens()[1:]):
+        for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
 
     def test_output_shapes(self):
@@ -107,20 +106,19 @@ class TestAseSuccessive:
         r = resize_pyramid(make_pyramid(H=128, W=192))
         out = dec.ase(r)
         for s, c in zip(out, (16, 32, 64)):
-            assert s.shape == (1, 6, c)
+            assert s.shape == (1, 2, 3, c)
 
     def test_two_blocks_match_unrolled_oracle(self):
         dec, _ = make_decoder(seed=5, num_blocks=2)
         r = resize_pyramid(make_pyramid(seed=5, H=128, W=128))
-        rt = r.tokens()
         # independently unrolled: six stage calls in the successive order
         b1, b2 = dec.ase.blocks
-        s2 = b1[0](rt[0], rt[1], r.grid)
-        s3 = b1[1](s2, rt[2], r.grid)
-        s4 = b1[2](s3, rt[3], r.grid)
-        t2 = b2[0](rt[0], s2, r.grid)
-        t3 = b2[1](t2, s3, r.grid)
-        t4 = b2[2](t3, s4, r.grid)
+        s2 = b1[0](r[0], r[1])
+        s3 = b1[1](s2, r[2])
+        s4 = b1[2](s3, r[3])
+        t2 = b2[0](r[0], s2)
+        t3 = b2[1](t2, s3)
+        t4 = b2[2](t3, s4)
         out = dec.ase(r)
         for got, want in zip(out, (t2, t3, t4)):
             assert np.allclose(got.data, want.data, atol=1e-10)
@@ -132,7 +130,7 @@ class TestAseVariants:
         zero_ase_weights(dec)
         r = resize_pyramid(make_pyramid(H=128, W=128))
         out = dec.ase(r)
-        for s, expected in zip(out, r.tokens()[1:]):
+        for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
 
     def test_plain_cross_zero_weights_returns_resized(self):
@@ -140,7 +138,7 @@ class TestAseVariants:
         zero_ase_weights(dec)
         r = resize_pyramid(make_pyramid(H=128, W=128))
         out = dec.ase(r)
-        for s, expected in zip(out, r.tokens()[1:]):
+        for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
 
     def test_plain_cross_first_level_coincides_with_successive(self):
@@ -170,8 +168,8 @@ class TestScm:
         scm.proj_s.bn.beta.data[...] = 0.0
         scm.proj_s.bn.running_mean.data[...] = 0.0
         f = Tensor(np.random.default_rng(0).normal(size=(1, 16, 8, 8)))
-        s = Tensor(np.random.default_rng(1).normal(size=(1, 1, 16)))
-        out = scm(f, s, (1, 1))
+        s = Tensor(np.random.default_rng(1).normal(size=(1, 1, 1, 16)))
+        out = scm(f, s)
         expected = scm.proj_f(f)
         assert np.array_equal(out.data, expected.data)
 
@@ -183,19 +181,19 @@ class TestScm:
         scm.proj_s.bn.beta.data[...] = 0.0
         scm.proj_s.bn.running_mean.data[...] = 0.0
         f = Tensor(np.random.default_rng(2).normal(size=(1, 16, 8, 8)))
-        s = Tensor(np.random.default_rng(3).normal(size=(1, 1, 16)))
-        assert np.array_equal(scm(f, s, (1, 1)).data, np.zeros((1, 16, 8, 8)))
+        s = Tensor(np.random.default_rng(3).normal(size=(1, 1, 1, 16)))
+        assert np.array_equal(scm(f, s).data, np.zeros((1, 16, 8, 8)))
 
     def test_variants_differ_only_in_combination(self):
         g = np.random.default_rng(4)
         f = g.normal(size=(2, 16, 8, 8))
-        s = g.normal(size=(2, 1, 16))
+        s = g.normal(size=(2, 1, 1, 16))
         outs = {}
         for variant in ("eq6", "eq7", "eq8"):
             dec, _ = make_decoder(seed=11, scm_variant=variant)
             scm = dec.scm[0]
             scm.eval()
-            outs[variant] = scm(Tensor(f), Tensor(s), (1, 1)).data
+            outs[variant] = scm(Tensor(f), Tensor(s)).data
             fp = scm.proj_f(Tensor(f)).data
             sp = scm.proj_s(
                 Tensor(np.broadcast_to(s.reshape(2, 16, 1, 1),

@@ -48,19 +48,19 @@ class TestMultiHeadAttention:
     def test_single_kv_token_dominates(self):
         # softmax over one key is 1, so every query gets v @ w_o
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)
-        kv = Tensor(np.random.default_rng(0).normal(size=(1, 3)))
-        q = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
-        out = mha(kv, q).data
+        kv = Tensor(np.random.default_rng(0).normal(size=(1, 1, 3)))
+        q = Tensor(np.random.default_rng(1).normal(size=(1, 5, 4)))
+        out = mha(kv, q).data[0]
         for row in out[1:]:
             assert np.allclose(row, out[0], atol=1e-12)
 
     def test_identical_kv_rows_make_queries_irrelevant(self):
         mha = MultiHeadAttention(4, 4, rng(1))
         row = np.random.default_rng(2).normal(size=4)
-        kv = Tensor(np.tile(row, (6, 1)))
+        kv = Tensor(np.tile(row, (1, 6, 1)))
         g = np.random.default_rng(3)
-        out_a = mha(kv, Tensor(g.normal(size=(3, 4)))).data
-        out_b = mha(kv, Tensor(g.normal(size=(3, 4)) * 5)).data
+        out_a = mha(kv, Tensor(g.normal(size=(1, 3, 4)))).data
+        out_b = mha(kv, Tensor(g.normal(size=(1, 3, 4)) * 5)).data
         assert np.allclose(out_a, out_b, atol=1e-10)
 
     def test_matches_explicit_loop_oracle(self):
@@ -85,14 +85,15 @@ class TestMultiHeadAttention:
             ctx = sum(att[j] * V[j] for j in range(2))
             expected[i] = ctx @ mha.w_o.weight.data + mha.w_o.bias.data
 
-        out = mha(Tensor(kv), Tensor(qs)).data
+        out = mha(Tensor(kv[None]), Tensor(qs[None])).data[0]
         assert np.allclose(out, expected, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_attention_rows_sum_to_one(self, seed):
         mha = MultiHeadAttention(6, 8, rng(seed), heads=2)
         g = np.random.default_rng(seed)
-        mha(Tensor(g.normal(size=(5, 6))), Tensor(g.normal(size=(7, 8))))
+        mha(Tensor(g.normal(size=(1, 5, 6))),
+            Tensor(g.normal(size=(1, 7, 8))))
         att = mha.last_attention
         assert np.all(att >= 0)
         assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-6)
@@ -100,21 +101,22 @@ class TestMultiHeadAttention:
     def test_permutation_equivariance(self):
         mha = MultiHeadAttention(4, 4, rng(5), heads=2)
         g = np.random.default_rng(6)
-        kv = g.normal(size=(6, 4))
-        q = g.normal(size=(5, 4))
+        kv = g.normal(size=(1, 6, 4))
+        q = g.normal(size=(1, 5, 4))
         base = mha(Tensor(kv), Tensor(q)).data
         perm_q = np.random.default_rng(7).permutation(5)
-        assert np.allclose(mha(Tensor(kv), Tensor(q[perm_q])).data,
-                           base[perm_q], atol=1e-12)
+        assert np.allclose(mha(Tensor(kv), Tensor(q[:, perm_q])).data,
+                           base[:, perm_q], atol=1e-12)
         perm_kv = np.random.default_rng(8).permutation(6)
-        assert np.allclose(mha(Tensor(kv[perm_kv]), Tensor(q)).data,
+        assert np.allclose(mha(Tensor(kv[:, perm_kv]), Tensor(q)).data,
                            base, atol=1e-10)
 
     def test_output_dim_follows_query(self):
         mha = MultiHeadAttention(3, 8, rng(6), heads=4)
         g = np.random.default_rng(9)
-        out = mha(Tensor(g.normal(size=(4, 3))), Tensor(g.normal(size=(5, 8))))
-        assert out.shape == (5, 8)
+        out = mha(Tensor(g.normal(size=(1, 4, 3))),
+                  Tensor(g.normal(size=(1, 5, 8))))
+        assert out.shape == (1, 5, 8)
 
     @pytest.mark.parametrize("kv_width,q_width,expected", [(4, 8, 3), (3, 6, 8)])
     def test_wrong_input_width_is_shape_error(self, kv_width, q_width,
@@ -122,8 +124,8 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(3, 8, rng(6), heads=4)
         g = np.random.default_rng(9)
         with pytest.raises(ShapeError, match=f"last dim {expected}"):
-            mha(Tensor(g.normal(size=(4, kv_width))),
-                Tensor(g.normal(size=(5, q_width))))
+            mha(Tensor(g.normal(size=(1, 4, kv_width))),
+                Tensor(g.normal(size=(1, 5, q_width))))
 
     def test_indivisible_heads_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -160,7 +162,7 @@ def _mix_ffn_oracle(ffn: MixFFN, x: np.ndarray, h: int, w: int) -> np.ndarray:
     for y in range(h):
         for z in range(w):
             out[y, z] = w2 @ act[y, z] + b2
-    return out.reshape(h * w, C)
+    return out.reshape(1, h, w, C)
 
 
 class TestMixFFN:
@@ -168,39 +170,35 @@ class TestMixFFN:
     def test_preserves_shape(self, hw):
         h, w = hw
         ffn = MixFFN(5, rng(0))
-        x = Tensor(np.random.default_rng(0).normal(size=(h * w, 5)))
-        assert ffn(x, (h, w)).shape == (h * w, 5)
+        x = Tensor(np.random.default_rng(0).normal(size=(1, h, w, 5)))
+        assert ffn(x).shape == (1, h, w, 5)
 
     def test_zero_weights_give_zero(self):
         ffn = MixFFN(3, rng(1))
         for _, p in ffn.named_parameters():
             p.data[...] = 0.0
-        out = ffn(Tensor(np.random.default_rng(1).normal(size=(4, 3))), (2, 2))
-        assert np.array_equal(out.data, np.zeros((4, 3)))
+        out = ffn(Tensor(np.random.default_rng(1).normal(size=(1, 2, 2, 3))))
+        assert np.array_equal(out.data, np.zeros((1, 2, 2, 3)))
 
     def test_single_pixel_equals_center_tap_mlp(self):
         # on a 1x1 grid the padded depthwise conv sees only its center tap
         ffn = MixFFN(3, rng(2))
-        x = np.random.default_rng(2).normal(size=(1, 3))
-        hidden = (ffn.fc1.weight.data.reshape(12, 3) @ x[0]
+        x = np.random.default_rng(2).normal(size=(1, 1, 1, 3))
+        hidden = (ffn.fc1.weight.data.reshape(12, 3) @ x[0, 0, 0]
                   + ffn.fc1.bias.data)
         hidden = hidden * ffn.dw.weight.data[:, 0, 1, 1] + ffn.dw.bias.data
         hidden = 0.5 * hidden * (1 + erf(hidden / np.sqrt(2)))
         expected = ffn.fc2.weight.data.reshape(3, 12) @ hidden + ffn.fc2.bias.data
-        out = ffn(Tensor(x), (1, 1)).data
+        out = ffn(Tensor(x)).data
         assert np.allclose(out, expected[None], atol=1e-12)
 
     @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 2), (4, 4)])
     def test_matches_loop_oracle(self, hw):
         h, w = hw
         ffn = MixFFN(3, rng(3))
-        x = np.random.default_rng(h * 10 + w).normal(size=(h * w, 3))
-        out = ffn(Tensor(x), (h, w)).data
+        x = np.random.default_rng(h * 10 + w).normal(size=(1, h, w, 3))
+        out = ffn(Tensor(x)).data
         assert np.allclose(out, _mix_ffn_oracle(ffn, x, h, w), atol=1e-10)
-
-    def test_token_grid_mismatch(self):
-        with pytest.raises(ShapeError):
-            MixFFN(3, rng(4))(Tensor(np.zeros((5, 3))), (2, 2))
 
 
 class TestConvBN:
@@ -361,8 +359,8 @@ class TestLayerGradients:
     def test_attention_wrt_input_and_weights(self):
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)
         g = np.random.default_rng(1)
-        kv = Tensor(g.normal(size=(4, 3)))
-        q = g.normal(size=(5, 4))
+        kv = Tensor(g.normal(size=(1, 4, 3)))
+        q = g.normal(size=(1, 5, 4))
         err = gradient_check(lambda t: (mha(kv, t) ** 2.0).sum(), Tensor(q))
         assert err < 1e-4
         err = gradient_check(
@@ -371,8 +369,8 @@ class TestLayerGradients:
 
     def test_mix_ffn(self):
         ffn = MixFFN(3, rng(1))
-        x = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
-        err = gradient_check(lambda t: (ffn(t, (2, 2)) ** 2.0).sum(), x)
+        x = Tensor(np.random.default_rng(2).normal(size=(1, 2, 2, 3)))
+        err = gradient_check(lambda t: (ffn(t) ** 2.0).sum(), x)
         assert err < 1e-4
 
     def test_conv_bn_eval_mode(self):
@@ -470,7 +468,7 @@ class TestNodeBudget:
                                       dec.num_classes, seed=0)
         loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
                              np.stack([s.mask for s in batch]))
-        assert _graph_nodes(loss) == 217
+        assert _graph_nodes(loss) == 210
 
     def test_attention_call(self):
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)
@@ -481,6 +479,6 @@ class TestNodeBudget:
 
     def test_mix_ffn_call(self):
         ffn = MixFFN(3, rng(1))
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 6, 3)),
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 2, 3)),
                    requires_grad=True)
-        assert _graph_nodes(ffn(x, (3, 2))) <= 4
+        assert _graph_nodes(ffn(x)) <= 4

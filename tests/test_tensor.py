@@ -12,7 +12,6 @@ import scaseg
 from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     bilinear_resize, concat, conv2d, gradient_check,
                     log_softmax, matmul, softmax)
-from scaseg.layers import map_from_tokens, tokens_from_map
 from scaseg.tensor import (_SHIFTED_MIN_PIXELS, _cdf, _resize_matrix, attention,
                            conv_norm, depthwise_tokens, linear, normalize)
 
@@ -176,6 +175,23 @@ class TestGradientCheck:
             gradient_check(lambda t: t.sum(), Tensor(np.ones(2)),
                            max_samples=max_samples)
 
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_checked_tensor_is_left_as_it_was(self, requires_grad):
+        # a flag left on would make every later op on x record a graph
+        x = Tensor(np.arange(4.0), requires_grad=requires_grad)
+        gradient_check(lambda t: (t * t).sum(), x)
+        assert x.requires_grad is requires_grad and x.grad is None
+        assert (x * 2.0).requires_grad is requires_grad
+        with pytest.raises(UsageError):  # also when the check raises
+            gradient_check(lambda t: t * 2.0, x)
+        assert x.requires_grad is requires_grad and x.grad is None
+
+    def test_existing_grad_array_is_kept(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        x.grad = buffer = np.ones(4)
+        gradient_check(lambda t: (t * t).sum(), x)
+        assert x.grad is buffer
+
 
 def _op_cases(rng):
     """(name, fn, input) triples covering every graph-recorded primitive."""
@@ -207,8 +223,8 @@ def _op_cases(rng):
     att_k = Tensor(rng.normal(size=(2, 5, 4)))
     att_v = Tensor(rng.normal(size=(2, 5, 4)))
     att_g = Tensor(rng.normal(size=(2, 3, 4)))
-    tok_x1 = Tensor(rng.normal(size=(2, 1, 3)))
-    tok_x6 = Tensor(rng.normal(size=(2, 6, 3)))
+    tok_x1 = Tensor(rng.normal(size=(2, 1, 1, 3)))
+    tok_x6 = Tensor(rng.normal(size=(2, 3, 2, 3)))
     tok_b = Tensor(rng.normal(size=3))
     # fused conv → batch norm (→ ReLU) over 2 output channels, with an
     # output weighting; the ReLU case shifts one channel far above zero and
@@ -289,19 +305,19 @@ def _op_cases(rng):
         ("attention_v", lambda v: (attention(att_q, att_k, v, 2)[0] * att_g).sum(),
          (2, 5, 4), None),
         ("depthwise_tokens_1x1",
-         lambda x: (depthwise_tokens(x, (1, 1), dw_w, tok_b) ** 2.0).sum(),
-         (2, 1, 3), None),
+         lambda x: (depthwise_tokens(x, dw_w, tok_b) ** 2.0).sum(),
+         (2, 1, 1, 3), None),
         ("depthwise_tokens_3x2",
-         lambda x: (depthwise_tokens(x, (3, 2), dw_w, tok_b) ** 2.0).sum(),
-         (2, 6, 3), None),
+         lambda x: (depthwise_tokens(x, dw_w, tok_b) ** 2.0).sum(),
+         (2, 3, 2, 3), None),
         ("depthwise_tokens_1x1_weight",
-         lambda w: (depthwise_tokens(tok_x1, (1, 1), w, tok_b) ** 2.0).sum(),
+         lambda w: (depthwise_tokens(tok_x1, w, tok_b) ** 2.0).sum(),
          (3, 1, 3, 3), None),
         ("depthwise_tokens_3x2_weight",
-         lambda w: (depthwise_tokens(tok_x6, (3, 2), w, tok_b) ** 2.0).sum(),
+         lambda w: (depthwise_tokens(tok_x6, w, tok_b) ** 2.0).sum(),
          (3, 1, 3, 3), None),
         ("depthwise_tokens_bias",
-         lambda b: (depthwise_tokens(tok_x6, (3, 2), dw_w, b) ** 2.0).sum(),
+         lambda b: (depthwise_tokens(tok_x6, dw_w, b) ** 2.0).sum(),
          (3,), None),
         ("conv_norm",
          lambda x: (conv_norm(x, conv_w, gamma2, beta2, 1, 1e-5)[0]
@@ -380,12 +396,12 @@ class TestOneNodePrimitives:
 
     def test_linear_conv_weight_is_pointwise_conv(self):
         rng = np.random.default_rng(1)
-        arrays = (rng.normal(size=(2, 6, 4)), rng.normal(size=(3, 4, 1, 1)),
+        arrays = (rng.normal(size=(2, 3, 2, 4)), rng.normal(size=(3, 4, 1, 1)),
                   rng.normal(size=3))
-        g = rng.normal(size=(2, 6, 3))
+        g = rng.normal(size=(2, 3, 2, 3))
         out, grads = _value_and_grads(linear, arrays, g)
         ref, ref_grads = _value_and_grads(
-            lambda x, w, b: tokens_from_map(conv2d(map_from_tokens(x, (3, 2)), w, b)),
+            lambda x, w, b: conv2d(x.permute(0, 3, 1, 2), w, b).permute(0, 2, 3, 1),
             arrays, g)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         for a, r in zip(grads, ref_grads):
@@ -423,21 +439,20 @@ class TestOneNodePrimitives:
         for a, r in zip(grads, ref_grads):
             np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("hw", [(1, 1), (3, 2), (4, 5)])
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 2), (4, 5), (2, 3)])
     def test_depthwise_tokens_is_grouped_conv(self, hw):
         h, w = hw
         rng = np.random.default_rng(h * 10 + w)
-        arrays = (rng.normal(size=(2, h * w, 4)), rng.normal(size=(4, 1, 3, 3)),
+        arrays = (rng.normal(size=(2, h, w, 4)), rng.normal(size=(4, 1, 3, 3)),
                   rng.normal(size=4))
-        g = rng.normal(size=(2, h * w, 4))
-        out, grads = _value_and_grads(
-            lambda x, wt, b: depthwise_tokens(x, (h, w), wt, b), arrays, g)
+        g = rng.normal(size=(2, h, w, 4))
+        out, grads = _value_and_grads(depthwise_tokens, arrays, g)
 
         def per_channel_conv(x, wt, b):  # one ungrouped im2col conv a channel
-            m = map_from_tokens(x, (h, w))
-            return tokens_from_map(concat(
+            m = x.permute(0, 3, 1, 2)
+            return concat(
                 [conv2d(m[:, c:c + 1], wt[c:c + 1], b[c:c + 1])
-                 for c in range(4)], axis=1))
+                 for c in range(4)], axis=1).permute(0, 2, 3, 1)
         ref, ref_grads = _value_and_grads(per_channel_conv, arrays, g)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         for a, r in zip(grads, ref_grads):
@@ -535,12 +550,25 @@ class TestOneNodePrimitives:
         with pytest.raises(ShapeError):
             attention(x, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4, 4))), 2)
         with pytest.raises(ShapeError):
-            depthwise_tokens(x, (2, 2), Tensor(np.zeros((4, 1, 3, 3))),
+            depthwise_tokens(x, Tensor(np.zeros((4, 1, 3, 3))),
                              Tensor(np.zeros(4)))
         image, b = Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros(2))
         for w_shape in ((2, 4, 3, 1), (2, 2, 3, 3)):  # not square; 2 != 4 channels
             with pytest.raises(ShapeError):
                 conv2d(image, Tensor(np.zeros(w_shape)), b)
+
+    def test_tokens_need_a_batch_axis(self):
+        # an unbatched (n, d) input is never read as n one-token images; n = 1
+        # leaves only the rank to tell it from a batch of one
+        flat, batched = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 5, 4)))
+        for q, kv in ((flat, flat), (flat, batched), (batched, flat)):
+            with pytest.raises(ShapeError):
+                attention(q, kv, kv, 2)
+        # depthwise tokens are (B, h, w, C) maps, nothing else
+        w, b = Tensor(np.zeros((4, 1, 3, 3))), Tensor(np.zeros(4))
+        for shape in ((6, 4), (2, 6, 4), (1, 2, 3, 2, 4)):
+            with pytest.raises(ShapeError):
+                depthwise_tokens(Tensor(np.zeros(shape)), w, b)
 
 
 class TestKernelsMatchOldFormulation:

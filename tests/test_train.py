@@ -628,3 +628,11 @@ class TestTrainLoop:
         model.eval()
         evaluate(model, va[:1], 4)
         assert not model.training
+
+    def test_evaluate_restores_training_mode_when_a_sample_fails(self):
+        model, _, va, _ = tiny_setup()
+        model.train()
+        bad = SyntheticSample(va[0].image[:, :32], va[0].mask[:32])  # 32x64
+        with pytest.raises(DataError, match="32x64"):
+            evaluate(model, [bad], 4)
+        assert model.training

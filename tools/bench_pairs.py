@@ -86,9 +86,14 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited {proc.returncode}:\n"
                            f"{proc.stdout}{proc.stderr}")
+    try:
+        correct = json.loads(proc.stdout.strip().splitlines()[-1])["correct"]
+    except (IndexError, ValueError, KeyError, TypeError) as e:
+        raise RuntimeError(f"{workload} in {tree} printed no result line "
+                           f"({e!r}):\n{proc.stdout}{proc.stderr}") from None
     result = json.loads(
         (tree / "perfbench" / "results" / f"{workload}-trace0.json").read_text())
-    result["correct"] = json.loads(proc.stdout.strip().splitlines()[-1])["correct"]
+    result["correct"] = correct
     return result
 
 
