@@ -345,7 +345,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     through its transposed 2-D view; its gradient keeps ``w``'s shape."""
     wm = w.data if w.ndim == 2 else w.data.reshape(w.shape[0], -1).T
     d_in, d_out = wm.shape
-    if x.shape[-1] != d_in:
+    if x.ndim < 2 or x.shape[-1] != d_in:
         raise ShapeError(f"linear expects last dim {d_in}, got {x.shape}")
     # one GEMM per image, since BLAS picks its kernel by row count
     xv = x.data.reshape(x.shape[0], -1, d_in)

@@ -564,6 +564,9 @@ class TestOneNodePrimitives:
         for q, kv in ((flat, flat), (flat, batched), (batched, flat)):
             with pytest.raises(ShapeError):
                 attention(q, kv, kv, 2)
+        with pytest.raises(ShapeError):  # a single vector has no token axis
+            linear(Tensor(np.zeros(4)), Tensor(np.zeros((4, 3))),
+                   Tensor(np.zeros(3)))
         # depthwise tokens are (B, h, w, C) maps, nothing else
         w, b = Tensor(np.zeros((4, 1, 3, 3))), Tensor(np.zeros(4))
         for shape in ((6, 4), (2, 6, 4), (1, 2, 3, 2, 4)):
