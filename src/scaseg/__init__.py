@@ -8,7 +8,7 @@ from .data import PALETTE, SyntheticSample, gen_synthetic_dataset
 from .decoder import (AggregatedSemanticsExtractor, Decoder, ScaStage,
                       SegModel, SegmentationHead, SelfOnConcatExtractor,
                       SemanticCombiner, resize_pyramid)
-from .encoder import Encoder, FeaturePyramid
+from .encoder import Encoder
 from .errors import (ConfigError, DataError, NumericalError, ShapeError,
                      UsageError)
 from .gradcheck import gradient_check

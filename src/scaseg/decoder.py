@@ -13,23 +13,20 @@ from __future__ import annotations
 
 import itertools
 
-from . import tensor
 from .config import DecoderConfig, EncoderConfig
-from .encoder import Encoder, FeaturePyramid
-from .errors import ConfigError, ShapeError
+from .encoder import Encoder
+from .errors import ShapeError
 from .layers import ConvBN, Conv2d, LayerNorm, MixFFN, MultiHeadAttention
 from .module import Module
 from .rng import RandomSource
-from .tensor import Tensor, bilinear_resize, concat
+from .tensor import Tensor, bilinear_resize, concat, recording
 
 
-def resize_pyramid(p: FeaturePyramid) -> tuple:
-    """R_1..R_4 as (B, H/64, W/64, C_i) tokens."""
-    H, W = p.source_size
-    if H % 64 or W % 64:
-        raise ConfigError(f"source size {H}x{W} must be divisible by 64")
+def resize_pyramid(features, size) -> tuple:
+    """R_1..R_4 as (B, H/64, W/64, C_i) tokens, for an (H, W) image."""
+    H, W = size
     return tuple(bilinear_resize(f, (H // 64, W // 64)).permute(0, 2, 3, 1)
-                 for f in p.features)
+                 for f in features)
 
 
 class ScaStage(Module):
@@ -169,11 +166,12 @@ class Decoder(Module):
         self.head = SegmentationHead(enc_channels, cfg.head_channels,
                                      cfg.num_classes, rng.spawn(9))
 
-    def __call__(self, p: FeaturePyramid) -> Tensor:
-        semantics = self.ase(resize_pyramid(p))
-        enhanced = [combiner(p[j + 1], semantics[j])
+    def __call__(self, features, size) -> Tensor:
+        """Logits at ``size``, the (H, W) of the encoder's image."""
+        semantics = self.ase(resize_pyramid(features, size))
+        enhanced = [combiner(features[j + 1], semantics[j])
                     for j, combiner in enumerate(self.scm)]
-        return self.head(p[0], enhanced, p.source_size)
+        return self.head(features[0], enhanced, size)
 
 
 class SegModel(Module):
@@ -188,9 +186,5 @@ class SegModel(Module):
 
     def __call__(self, image: Tensor) -> Tensor:
         """Logits for ``image``; in eval mode no autodiff graph is recorded."""
-        prev = tensor._record[0]
-        tensor._record[0] = prev and self.training
-        try:
-            return self.decoder(self.encoder(image))
-        finally:
-            tensor._record[0] = prev
+        with recording(self.training):
+            return self.decoder(self.encoder(image), image.shape[2:])

@@ -1,4 +1,4 @@
-"""Four-stage convolutional encoder producing a strided feature pyramid.
+"""Four-stage convolutional encoder returning the pyramid (F_1, F_2, F_3, F_4).
 
 Stage i emits a map of size H/2^(i+2) x W/2^(i+2) with the configured
 channel count: a downsampling 3x3 conv (stride 4 for the first, patchify
@@ -8,26 +8,12 @@ conv+BN+ReLU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import EncoderConfig
 from .errors import DataError
 from .layers import ConvBN
 from .module import Module
 from .rng import RandomSource
 from .tensor import Tensor
-
-
-@dataclass
-class FeaturePyramid:
-    features: tuple  # (F_1, F_2, F_3, F_4)
-    source_size: tuple  # (H, W)
-
-    def __iter__(self):
-        return iter(self.features)
-
-    def __getitem__(self, i):
-        return self.features[i]
 
 
 class Encoder(Module):
@@ -44,7 +30,7 @@ class Encoder(Module):
             c_prev = c
         self.stages = stages
 
-    def __call__(self, image: Tensor) -> FeaturePyramid:
+    def __call__(self, image: Tensor) -> tuple:
         if image.ndim != 4 or image.shape[1] != 3 or image.size == 0:
             raise DataError(f"expected a (B, 3, H, W) image with B, H, W > 0, "
                             f"got {image.shape}")
@@ -57,4 +43,4 @@ class Encoder(Module):
             for block in blocks:
                 x = block(x)
             feats.append(x)
-        return FeaturePyramid(tuple(feats), (H, W))
+        return tuple(feats)

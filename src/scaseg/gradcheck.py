@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .tensor import Tensor
+from .tensor import Tensor, recording
 
 
 def gradient_check(f, x: Tensor, eps: float = 1e-4,
@@ -18,22 +18,21 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
     them is NaN, as a non-finite analytic gradient makes it. With
     ``max_samples`` set (at least 1), a deterministic subset of elements is
     probed instead of all of them (useful for a whole model's parameters).
-    ``x`` gets its ``requires_grad`` flag and ``.grad`` back, also on a raise.
+    The probe forwards record no graph. ``x`` gets its ``requires_grad`` flag
+    and its ``.grad`` array back, values untouched, also on a raise.
     """
     if eps <= 0:
         raise UsageError("eps must be positive")
     if max_samples is not None and max_samples < 1:
         raise UsageError("max_samples must be at least 1; None probes every element")
     requires_grad, grad = x.requires_grad, x.grad
-    x.zero_grad()
-    x.requires_grad = True
+    x.requires_grad, x.grad = True, None
     try:
         out = f(x)
         if not isinstance(out, Tensor) or out.size != 1:
             raise UsageError("gradient_check requires a scalar-valued function")
         out.backward()
-        analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-        x.zero_grad()
+        analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
 
         flat = x.data.reshape(-1)
         n = flat.size
@@ -45,10 +44,11 @@ def gradient_check(f, x: Tensor, eps: float = 1e-4,
 
         def probe(i, step):
             orig = flat[i]
-            flat[i] = orig + step
-            hi = float(f(x).data)
-            flat[i] = orig - step
-            lo = float(f(x).data)
+            with recording(False):
+                flat[i] = orig + step
+                hi = float(f(x).data)
+                flat[i] = orig - step
+                lo = float(f(x).data)
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * step)
             return abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]))

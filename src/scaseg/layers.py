@@ -37,14 +37,13 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, channels: int):
-        self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.channels:
+        if x.shape[-1] != self.gamma.size:
             raise ShapeError(
-                f"LayerNorm over {self.channels} channels got {x.shape}")
+                f"LayerNorm over {self.gamma.size} channels got {x.shape}")
         return normalize(x, self.gamma, self.beta, (-1,), -1, LN_EPS)[0]
 
 
@@ -53,16 +52,15 @@ class BatchNorm2d(Module):
     shares its statistics through ``normalized``."""
 
     def __init__(self, channels: int):
-        self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = Tensor(np.zeros(channels))
         self.running_var = Tensor(np.ones(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.channels:
+        if x.ndim != 4 or x.shape[1] != self.gamma.size:
             raise ShapeError(
-                f"BatchNorm2d({self.channels}) got input shape {x.shape}")
+                f"BatchNorm2d({self.gamma.size}) got input shape {x.shape}")
         return self.normalized(lambda stats: normalize(
             x, self.gamma, self.beta, (0, 2, 3), 1, BN_EPS, stats))
 

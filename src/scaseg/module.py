@@ -59,14 +59,16 @@ class Module:
                 if isinstance(v, Tensor) and not v.requires_grad)
 
     def load_state(self, named_tensors):
-        """Copy a checkpoint into the model. Every model entry must be in it,
-        finite, and for a batch-norm ``running_var`` at least 0; the model is
-        left untouched when the checkpoint is rejected."""
+        """Copy a checkpoint into the model. Every model entry must be in it
+        once, finite, and for a batch-norm ``running_var`` at least 0; the
+        model is left untouched when the checkpoint is rejected."""
         current = dict(self.state())
+        missing = dict(current)
         pairs = list(named_tensors)
         for name, tensor in pairs:
-            if name not in current:
-                raise DataError(f"checkpoint entry {name!r} not in model")
+            if missing.pop(name, None) is None:
+                why = "is repeated" if name in current else "not in model"
+                raise DataError(f"checkpoint entry {name!r} {why}")
             if current[name].shape != tensor.shape:
                 raise DataError(
                     f"checkpoint entry {name!r} has shape {tensor.shape}, "
@@ -77,12 +79,10 @@ class Module:
             if name.endswith("running_var") and (tensor.data < 0).any():
                 raise DataError(f"checkpoint entry {name!r} holds a negative "
                                 f"variance")
-        names = {name for name, _ in pairs}
-        missing = [name for name in current if name not in names]
         if missing:
             raise DataError(
                 f"checkpoint lacks {len(missing)} of the model's "
-                f"{len(current)} entries, e.g. {', '.join(missing[:3])}")
+                f"{len(current)} entries, e.g. {', '.join(list(missing)[:3])}")
         for name, tensor in pairs:
             current[name].data[...] = tensor.data
 

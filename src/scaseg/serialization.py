@@ -1,4 +1,4 @@
-"""Flat binary tensor and checkpoint formats.
+"""Flat binary tensor and checkpoint formats; no file has bytes after them.
 
 Tensor blob layout (little-endian throughout):
 
@@ -81,16 +81,21 @@ def save_tensor(path, t: Tensor) -> None:
         write_tensor(fh, t)
 
 
-def _open_for_read(path):
+def _read_file(path, read):
+    """``read(fh)`` on the file at ``path``, which must end where it stops."""
     try:
-        return open(path, "rb")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open {os.fspath(path)!r}: {exc.strerror}") from None
+    with fh:
+        out = read(fh)
+        if fh.read(1):
+            raise DataError(f"{os.fspath(path)!r} has bytes after its last tensor")
+    return out
 
 
 def load_tensor(path) -> Tensor:
-    with _open_for_read(path) as fh:
-        return read_tensor(fh)
+    return _read_file(path, read_tensor)
 
 
 def save_checkpoint(path, named_tensors) -> None:
@@ -116,15 +121,18 @@ def save_checkpoint(path, named_tensors) -> None:
             os.unlink(tmp)
 
 
+def _read_checkpoint(fh) -> list[tuple[str, Tensor]]:
+    (count,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint header"))
+    names = []
+    for _ in range(count):
+        (n,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+        raw = _read_exact(fh, n, "checkpoint name")
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise DataError(f"checkpoint name {raw!r} is not valid UTF-8")
+    return [(name, read_tensor(fh)) for name in names]
+
+
 def load_checkpoint(path) -> list[tuple[str, Tensor]]:
-    with _open_for_read(path) as fh:
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint header"))
-        names = []
-        for _ in range(count):
-            (n,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            raw = _read_exact(fh, n, "checkpoint name")
-            try:
-                names.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise DataError(f"checkpoint name {raw!r} is not valid UTF-8")
-        return [(name, read_tensor(fh)) for name in names]
+    return _read_file(path, _read_checkpoint)

@@ -2,8 +2,9 @@
 
 The graph is recorded eagerly: every primitive that touches a tensor with
 ``requires_grad`` produces a node holding a backward closure and references
-to its parents, except inside the forward of an eval-mode ``SegModel``,
-which records no graph. ``Tensor.backward()`` topologically sorts the
+to its parents, except inside a ``recording(False)`` block, which records
+no graph: an eval-mode ``SegModel`` forward and ``gradient_check``'s probe
+forwards run in one. ``Tensor.backward()`` topologically sorts the
 graph and accumulates gradients additively over fan-out, so calling it
 twice without ``zero_grad`` doubles every leaf gradient.
 
@@ -27,6 +28,7 @@ Tokens are channels-last ``(B, h, w, C)`` maps, so their shape is the grid.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from itertools import accumulate
@@ -39,12 +41,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # dtype instances, so the membership test converts no scalar type per call;
 # a float array in non-native byte order is not a member and is converted
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# graph recording switch; decoder.SegModel.__call__ clears it in eval mode
-_record = [True]
+_record = True  # written only by recording()
 # least output pixels for shifted GEMMs; 3×3, C_in = C_out, fwd + bwd, im2col
 # → shifted ms: (4,64,8,8) 2.42 → 2.38, (1,64,8,8) .58 → .69, (4,32,12,12)
 # 1.74 → 1.48, (4,8,16,16) .40 → .38, (4,32,16,16) 3.09 → 2.39
 _SHIFTED_MIN_PIXELS = 144
+
+
+@contextlib.contextmanager
+def recording(on: bool):
+    """Inside the block, record nodes only if ``on`` and recording was on."""
+    global _record
+    prev, _record = _record, _record and on
+    try:
+        yield
+    finally:
+        _record = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -78,7 +90,7 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
-        if _record[0] and any(p.requires_grad for p in parents):
+        if _record and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -72,12 +72,11 @@ def test_criterion_02_residual_pass_through():
                 if "gamma" not in name:
                     p.data[...] = 0.0
             g = np.random.default_rng(L)
-            from scaseg.encoder import FeaturePyramid
             feats = tuple(
                 Tensor(g.normal(size=(1, c, 128 // 2 ** (i + 2),
                                       128 // 2 ** (i + 2))))
                 for i, c in enumerate((8, 16, 32, 64)))
-            r = resize_pyramid(FeaturePyramid(feats, (128, 128)))
+            r = resize_pyramid(feats, (128, 128))
             exact = all(np.array_equal(s.data, e.data)
                         for s, e in zip(dec.ase(r), r[1:]))
             ok = ok and exact
@@ -182,9 +181,9 @@ def test_criterion_07_shape_contract():
         pyramid = model.encoder(x)
         feat_ok = all(f.shape[2:] == (H // 2 ** (i + 2), W // 2 ** (i + 2))
                       for i, f in enumerate(pyramid))
-        resized = resize_pyramid(pyramid)
+        resized = resize_pyramid(pyramid, (H, W))
         token_ok = all(t.shape[1:3] == (H // 64, W // 64) for t in resized)
-        logits_ok = model.decoder(pyramid).shape == (1, 4, H, W)
+        logits_ok = model.decoder(pyramid, (H, W)).shape == (1, 4, H, W)
         ok = ok and feat_ok and token_ok and logits_ok
         details.append(f"H={H}: {'ok' if feat_ok and token_ok and logits_ok else 'BAD'}")
     check(7, "feature/token/logit shapes match the contract for "

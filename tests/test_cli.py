@@ -51,7 +51,8 @@ class TestDescribe:
         "image_height=0", "image_height=-64", "image_width=-128",
         "encoder_channels=0,1,2,3", "head_channels=0", "heads=0,1,1",
         "base_lr=nan", "base_lr=inf", "base_lr=0", "base_lr=-0.001",
-        "weight_decay=-0.01", "weight_decay=nan", "seed=-1"])
+        "weight_decay=-0.01", "weight_decay=nan", "seed=-1", "num_blocks=0",
+        "heads=1,1", "num_classes=1"])
     def test_out_of_range_value_exits_2(self, capsys, setting):
         assert main(["describe", "--set", setting]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
@@ -194,6 +195,52 @@ class TestForward:
                      "--checkpoint", str(ckpt)]) == 3
         assert "encoder.stages.0.0.conv.bias" in capsys.readouterr().err
 
+    def test_checkpoint_entry_of_the_wrong_shape_exits_3(self, tmp_path,
+                                                         capsys):
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        state = SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()
+        name = "decoder.head.classifier.bias"
+        state = [(n, Tensor(np.zeros(5)) if n == name else t)
+                 for n, t in state]
+        ckpt = tmp_path / "reshaped.ckpt"
+        save_checkpoint(ckpt, state)
+        assert main(["forward", str(inp), "--out", str(tmp_path),
+                     "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and "shape (5,)" in err
+
+    def test_repeated_checkpoint_entry_exits_3(self, tmp_path, capsys):
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        state = SegModel(EncoderConfig(), DecoderConfig(), seed=0).state()
+        name, first = state[0]
+        ckpt = tmp_path / "repeated.ckpt"
+        save_checkpoint(ckpt, [*state, (name, Tensor(np.full(first.shape, 7.0)))])
+        assert main(["forward", str(inp), "--out", str(tmp_path),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert f"entry {name!r} is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "logits.tsr").exists()
+
+    @pytest.mark.parametrize("target", ["image", "checkpoint"])
+    def test_bytes_after_the_last_tensor_exit_3(self, tmp_path, capsys,
+                                                target):
+        from scaseg import DecoderConfig, EncoderConfig, SegModel, save_checkpoint
+        inp = tmp_path / "image.tsr"
+        save_tensor(inp, Tensor(np.zeros((3, 64, 64))))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, SegModel(EncoderConfig(), DecoderConfig(),
+                                       seed=0).state())
+        path = inp if target == "image" else ckpt
+        path.write_bytes(path.read_bytes() + b"7 bytes")
+        out = tmp_path / "out"
+        assert main(["forward", str(inp), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert "bytes after its last tensor" in capsys.readouterr().err
+        assert not (out / "logits.tsr").exists()
+
     @pytest.mark.parametrize("name,value", [
         ("encoder.stages.0.0.bn.running_var", np.nan),
         ("encoder.stages.0.0.bn.running_var", -1.0),
@@ -294,6 +341,18 @@ class TestTrain:
         self._run(tmp_path, "a", seed=0)
         assert "final val mIoU" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+    def test_non_finite_loss_exits_4(self, tmp_path, capsys):
+        args = ["train", "--out", str(tmp_path), "--set", "base_lr=1e30",
+                "--set", "iterations=30"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: loss became non-finite at iteration 3\n")
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert rows[0] == "iter,lr,loss,miou"
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert not (tmp_path / "checkpoint.ckpt").exists()
+
     @pytest.mark.parametrize("key", ["train_samples", "val_samples"])
     def test_empty_dataset_exits_2(self, tmp_path, capsys, key):
         args = ["train", "--out", str(tmp_path), "--set", "iterations=2",
@@ -375,6 +434,13 @@ class TestAblate:
         assert main(["train", "--out", str(tmp_path)] + tiny_run) == 0
         assert (f"final val mIoU {scores['eq6']} over 2 iterations"
                 in capsys.readouterr().out)
+
+    def test_variant_axis_row_order(self, capsys):
+        assert main(["ablate", "--axis", "variant"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "plain-cross", "self-on-concat", "successive", "scm-eq6",
+            "scm-eq7", "scm-eq8"]
 
     def test_blocks_axis_has_five_rows(self, capsys):
         assert main(["ablate", "--axis", "blocks"]) == 0

@@ -4,7 +4,6 @@ import pytest
 from scaseg import (ConfigError, DataError, Decoder, DecoderConfig, Encoder,
                     EncoderConfig, RandomSource, ScaStage, SegModel, Tensor,
                     UsageError, cross_entropy, resize_pyramid)
-from scaseg.encoder import FeaturePyramid
 
 
 def make_pyramid(seed=0, H=64, W=64, channels=(8, 16, 32, 64), batch=1):
@@ -12,7 +11,7 @@ def make_pyramid(seed=0, H=64, W=64, channels=(8, 16, 32, 64), batch=1):
     feats = tuple(
         Tensor(g.normal(size=(batch, c, H // 2 ** (i + 2), W // 2 ** (i + 2))))
         for i, c in enumerate(channels))
-    return FeaturePyramid(feats, (H, W))
+    return feats
 
 
 def zero_ase_weights(decoder: Decoder):
@@ -28,7 +27,7 @@ def make_decoder(seed=0, channels=(8, 16, 32, 64), **kwargs):
 
 class TestResizePyramid:
     def test_desk_scale_all_single_pixel(self):
-        r = resize_pyramid(make_pyramid())
+        r = resize_pyramid(make_pyramid(), (64, 64))
         for t, c in zip(r, (8, 16, 32, 64)):
             assert t.shape == (1, 1, 1, c)
         # R_4 comes from a 2x2 map: bilinear average of the four pixels
@@ -38,16 +37,15 @@ class TestResizePyramid:
 
     def test_identity_when_source_equals_target(self):
         p = make_pyramid(H=128, W=128)
-        r = resize_pyramid(p)
+        r = resize_pyramid(p, (128, 128))
         # F_4 at 128/32 = 4 > 2 = 128/64, so no level is identity here;
         # check the constant-preservation contract instead
-        const = FeaturePyramid(
-            tuple(Tensor(np.full(f.shape, 1.5)) for f in p), (128, 128))
-        for t in resize_pyramid(const):
+        const = tuple(Tensor(np.full(f.shape, 1.5)) for f in p)
+        for t in resize_pyramid(const, (128, 128)):
             assert np.allclose(t.data, 1.5, atol=1e-12)
 
     def test_grid_shapes_scale_with_input(self):
-        r = resize_pyramid(make_pyramid(H=128, W=192))
+        r = resize_pyramid(make_pyramid(H=128, W=192), (128, 192))
         for t in r:
             assert t.shape[1:3] == (2, 3)
 
@@ -96,21 +94,22 @@ class TestAseSuccessive:
     def test_residual_pass_through_is_exact(self, num_blocks):
         dec, _ = make_decoder(num_blocks=num_blocks)
         zero_ase_weights(dec)
-        r = resize_pyramid(make_pyramid(H=128, W=128))
+        r = resize_pyramid(make_pyramid(H=128, W=128), (128, 128))
         out = dec.ase(r)
         for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
 
     def test_output_shapes(self):
         dec, _ = make_decoder()
-        r = resize_pyramid(make_pyramid(H=128, W=192))
+        r = resize_pyramid(make_pyramid(H=128, W=192), (128, 192))
         out = dec.ase(r)
         for s, c in zip(out, (16, 32, 64)):
             assert s.shape == (1, 2, 3, c)
 
     def test_two_blocks_match_unrolled_oracle(self):
         dec, _ = make_decoder(seed=5, num_blocks=2)
-        r = resize_pyramid(make_pyramid(seed=5, H=128, W=128))
+        r = resize_pyramid(make_pyramid(seed=5, H=128, W=128),
+                           (128, 128))
         # independently unrolled: six stage calls in the successive order
         b1, b2 = dec.ase.blocks
         s2 = b1[0](r[0], r[1])
@@ -128,7 +127,7 @@ class TestAseVariants:
     def test_self_on_concat_zero_weights_returns_resized(self):
         dec, _ = make_decoder(attention_variant="self-on-concat")
         zero_ase_weights(dec)
-        r = resize_pyramid(make_pyramid(H=128, W=128))
+        r = resize_pyramid(make_pyramid(H=128, W=128), (128, 128))
         out = dec.ase(r)
         for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
@@ -136,7 +135,7 @@ class TestAseVariants:
     def test_plain_cross_zero_weights_returns_resized(self):
         dec, _ = make_decoder(attention_variant="plain-cross", num_blocks=4)
         zero_ase_weights(dec)
-        r = resize_pyramid(make_pyramid(H=128, W=128))
+        r = resize_pyramid(make_pyramid(H=128, W=128), (128, 128))
         out = dec.ase(r)
         for s, expected in zip(out, r[1:]):
             assert np.array_equal(s.data, expected.data)
@@ -147,7 +146,8 @@ class TestAseVariants:
         succ, _ = make_decoder(seed=9, num_blocks=1)
         plain, _ = make_decoder(seed=9, num_blocks=1,
                                 attention_variant="plain-cross")
-        r = resize_pyramid(make_pyramid(seed=9, H=128, W=128))
+        r = resize_pyramid(make_pyramid(seed=9, H=128, W=128),
+                           (128, 128))
         out_s = succ.ase(r)
         out_p = plain.ase(r)
         assert np.allclose(out_s[0].data, out_p[0].data, atol=1e-12)
@@ -207,7 +207,7 @@ class TestHeadAndForward:
     def test_end_to_end_logit_shape(self):
         dec, _ = make_decoder(num_classes=5)
         dec.eval()
-        out = dec(make_pyramid(batch=2))
+        out = dec(make_pyramid(batch=2), (64, 64))
         assert out.shape == (2, 5, 64, 64)
 
     def test_zero_classifier_gives_constant_bias_logits(self):
@@ -215,7 +215,7 @@ class TestHeadAndForward:
         dec.eval()
         dec.head.classifier.weight.data[...] = 0.0
         dec.head.classifier.bias.data[...] = np.array([1.0, -2.0, 0.5, 3.0])
-        out = dec(make_pyramid()).data
+        out = dec(make_pyramid(), (64, 64)).data
         for k, b in enumerate([1.0, -2.0, 0.5, 3.0]):
             assert np.allclose(out[:, k], b, atol=1e-12)
 
@@ -231,11 +231,11 @@ class TestHeadAndForward:
         dec, _ = make_decoder()
         dec.eval()
         p = make_pyramid()
-        base = dec(p).data
+        base = dec(p, (64, 64)).data
         for scm in dec.scm:
             scm.proj_f.conv.weight.data[...] = 0.0
             scm.proj_s.conv.weight.data[...] = 0.0
-        changed = dec(p).data
+        changed = dec(p, (64, 64)).data
         assert not np.array_equal(base, changed)  # SCM does matter overall
 
     def test_gradients_flow_to_every_parameter(self):
@@ -263,7 +263,7 @@ class TestEvalRecordsNoGraph:
         x = Tensor(np.random.default_rng(size).uniform(size=(1, 3, size, size)))
         out = model(x)
         assert out.requires_grad is False and out._parents == ()
-        graphed = model.decoder(model.encoder(x))
+        graphed = model.decoder(model.encoder(x), (size, size))
         assert graphed.requires_grad and graphed._parents
         assert np.array_equal(out.data, graphed.data)
         with pytest.raises(UsageError, match="eval-mode SegModel"):

@@ -13,7 +13,8 @@ from scaseg import (ConvBN, RandomSource, ShapeError, Tensor, UsageError,
                     bilinear_resize, concat, conv2d, gradient_check,
                     log_softmax, matmul, softmax)
 from scaseg.tensor import (_SHIFTED_MIN_PIXELS, _cdf, _resize_matrix, attention,
-                           conv_norm, depthwise_tokens, linear, normalize)
+                           conv_norm, depthwise_tokens, linear, normalize,
+                           recording)
 
 
 class TestMatmul:
@@ -191,6 +192,33 @@ class TestGradientCheck:
         x.grad = buffer = np.ones(4)
         gradient_check(lambda t: (t * t).sum(), x)
         assert x.grad is buffer
+        assert np.array_equal(buffer, np.ones(4))
+
+    def test_probe_forwards_record_no_graph(self):
+        outs = []
+
+        def f(t):
+            outs.append((t * t).sum())
+            return outs[-1]
+
+        gradient_check(f, Tensor(np.arange(3.0)))
+        assert outs[0]._parents and not any(o._parents for o in outs[1:])
+
+
+class TestRecording:
+    def test_inner_switch_cannot_turn_recording_back_on(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with recording(False):
+            with recording(True):
+                assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
+    def test_state_returns_after_a_raise(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with recording(False):
+                1 / 0
+        assert (x * x)._parents
 
 
 def _op_cases(rng):
