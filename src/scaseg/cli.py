@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
+    try:  # non-finite values are reported by their checks, not by numpy
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

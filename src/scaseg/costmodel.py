@@ -5,8 +5,9 @@ biases unless a batch norm follows, and C_in * C_out * k^2 * h_out * w_out
 MACs (a depthwise conv counts with C_in = 1); a linear d_in * d_out weights
 plus d_out biases and d_in * d_out MACs per token; a norm contributes 2C
 parameters and zero MACs (running stats are buffers, not parameters).
-Softmax, activations, and resampling are listed as zero-MAC lines so the
-breakdown still names every stage. MAC totals follow the vision
+Attention over one key counts zero MACs for w_q, w_k, scores and values,
+which it skips. Softmax, activations, and resampling are listed as zero-MAC
+lines so the breakdown still names every stage. MAC totals follow the vision
 literature's convention of reporting one MAC as one FLOP.
 """
 
@@ -82,12 +83,13 @@ def _conv_bn(report, path, c_in, c_out, k, h, w):
 
 
 def _attention(report, path, kv_dim, q_dim, n_q, n_kv):
-    _linear(report, f"{path}.w_q", q_dim, q_dim, n_q)
-    _linear(report, f"{path}.w_k", kv_dim, q_dim, n_kv)
+    qk = n_kv > 1  # over one key ScaStage skips queries, keys and scores
+    _linear(report, f"{path}.w_q", q_dim, q_dim, n_q * qk)
+    _linear(report, f"{path}.w_k", kv_dim, q_dim, n_kv * qk)
     _linear(report, f"{path}.w_v", kv_dim, q_dim, n_kv)
-    report.add(f"{path}.scores", 0, n_q * n_kv * q_dim)
+    report.add(f"{path}.scores", 0, n_q * n_kv * q_dim * qk)
     report.add(f"{path}.softmax", 0, 0)
-    report.add(f"{path}.values", 0, n_q * n_kv * q_dim)
+    report.add(f"{path}.values", 0, n_q * n_kv * q_dim * qk)
     _linear(report, f"{path}.w_o", q_dim, q_dim, n_q)
 
 

@@ -11,7 +11,7 @@ semantics are the last block's outputs at levels 2..4.
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from .config import DecoderConfig, EncoderConfig
 from .encoder import Encoder
@@ -32,7 +32,8 @@ def resize_pyramid(features, size) -> tuple:
 class ScaStage(Module):
     """One pre-norm attention + FFN stage with residuals.
 
-    A = MHA(LN(kv), LN(q)) + q;  S = FFN(LN(A)) + A.
+    A = MHA(LN(kv), LN(q)) + q;  S = FFN(LN(A)) + A. Over one key the softmax
+    is exactly 1, so A = w_o(w_v(LN(kv))) + q, and ln_q, w_q, w_k go unused.
     """
 
     def __init__(self, kv_dim: int, q_dim: int, rng: RandomSource,
@@ -47,7 +48,12 @@ class ScaStage(Module):
         if kv.shape[:-1] != q.shape[:-1]:
             raise ShapeError(
                 f"token grids disagree: kv {kv.shape} vs q {q.shape}")
-        a = self.attn(self.ln_kv(kv), self.ln_q(q)) + q
+        attn = self.attn
+        if kv.shape[1:-1] == (1, 1):
+            attn.last_attention = np.ones((kv.shape[0], attn.heads, 1, 1))
+            a = attn.w_o(attn.w_v(self.ln_kv(kv))) + q
+        else:
+            a = attn(self.ln_kv(kv), self.ln_q(q)) + q
         return self.ffn(self.ln_ffn(a)) + a
 
 
@@ -99,7 +105,7 @@ class SelfOnConcatExtractor(Module):
         for block in self.blocks:
             x = block(x, x)
         # split channels back into levels 2..4; level 1's slice is dropped
-        ends = tuple(itertools.accumulate(self.channels))
+        ends = np.cumsum(self.channels)
         return tuple(x[..., a:b] for a, b in zip(ends, ends[1:]))
 
 

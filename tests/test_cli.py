@@ -341,7 +341,7 @@ class TestTrain:
         self._run(tmp_path, "a", seed=0)
         assert "final val mIoU" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # one line, no warnings
     def test_non_finite_loss_exits_4(self, tmp_path, capsys):
         args = ["train", "--out", str(tmp_path), "--set", "base_lr=1e30",
                 "--set", "iterations=30"]

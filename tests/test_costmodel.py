@@ -215,11 +215,27 @@ class TestMacOracle:
         return sum(m for path, _, m in report.entries if ".attn" not in path)
 
     def test_doubling_resolution_scales_attention_scores_by_16(self):
+        # 4 keys at 128 x 128, 16 at 256 x 256; at 64 x 64 there is one key
+        # and no scores are computed
         def score_macs(H):
             report = cost_report(desk(), H, H)
             return sum(m for path, _, m in report.entries
                        if path.endswith(".scores") or path.endswith(".values"))
-        assert score_macs(128) == 16 * score_macs(64)
+        assert score_macs(128) > 0
+        assert score_macs(256) == 16 * score_macs(128)
+
+    def test_one_key_counts_no_query_key_macs(self):
+        # over one key ScaStage skips w_q, w_k, the scores and the values;
+        # their parameters still count
+        skipped = (".attn.w_q", ".attn.w_k", ".attn.scores", ".attn.values")
+        one, four = cost_report(desk(), 64, 64), cost_report(desk(), 128, 128)
+        assert [(p, n) for p, n, _ in one.entries] == [
+            (p, n) for p, n, _ in four.entries]
+        rows = [(m, m4) for (path, _, m), (_, _, m4)
+                in zip(one.entries, four.entries) if path.endswith(skipped)]
+        assert len(rows) == 4 * 12
+        assert all(m == 0 and m4 > 0 for m, m4 in rows)
+        assert one.params == four.params == model_param_count(desk())
 
 
 class TestCombinerVariantsIdentical:

@@ -3,7 +3,8 @@ import pytest
 
 from scaseg import (ConfigError, DataError, Decoder, DecoderConfig, Encoder,
                     EncoderConfig, RandomSource, ScaStage, SegModel, Tensor,
-                    UsageError, cross_entropy, resize_pyramid)
+                    UsageError, cross_entropy, gen_synthetic_dataset,
+                    resize_pyramid)
 
 
 def make_pyramid(seed=0, H=64, W=64, channels=(8, 16, 32, 64), batch=1):
@@ -23,6 +24,17 @@ def zero_ase_weights(decoder: Decoder):
 def make_decoder(seed=0, channels=(8, 16, 32, 64), **kwargs):
     cfg = DecoderConfig(**kwargs)
     return Decoder(channels, cfg, RandomSource(seed)), cfg
+
+
+def reached_ids(out: Tensor) -> set:
+    """ids of every tensor that backward reaches from ``out``."""
+    reached, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reached:
+            reached.add(id(node))
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return reached
 
 
 class TestResizePyramid:
@@ -87,6 +99,51 @@ class TestScaStage:
         a_ref = stage.attn(stage.ln_kv(kv), stage.ln_q(q)).data + q.data
         s_ref = stage.ffn(stage.ln_ffn(Tensor(a_ref))).data + a_ref
         assert np.allclose(s.data, s_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_one_key_is_bit_identical_to_the_full_path(self, heads):
+        # over one key the stage skips ln_q, w_q, w_k and the scores; the
+        # output and every gradient must equal the full path built from the
+        # stage's own sublayers, where the skipped tensors get exactly 0
+        stage = ScaStage(6, 4, RandomSource(4), heads=heads)
+        g = np.random.default_rng(heads)
+        kv = Tensor(g.normal(size=(2, 1, 1, 6)), requires_grad=True)
+        q = Tensor(g.normal(size=(2, 1, 1, 4)), requires_grad=True)
+        weight = Tensor(g.normal(size=(2, 1, 1, 4)))
+        inputs = {"kv": kv, "q": q, **dict(stage.named_parameters())}
+
+        def full(kv, q):
+            a = stage.attn(stage.ln_kv(kv), stage.ln_q(q)) + q
+            return stage.ffn(stage.ln_ffn(a)) + a
+
+        results = []
+        for forward in (stage, full):
+            for t in inputs.values():
+                t.grad = None
+            out = forward(kv, q)
+            (out * weight).sum().backward()
+            grads = {n: t.grad for n, t in inputs.items()}
+            results.append((out.data, grads, stage.attn.last_attention))
+        (out, grads, att), (out_ref, grads_ref, att_ref) = results
+        assert np.array_equal(out, out_ref)
+        skipped = {n for n, gr in grads.items() if gr is None}
+        assert skipped == {"ln_q.gamma", "ln_q.beta", "attn.w_q.weight",
+                           "attn.w_q.bias", "attn.w_k.weight", "attn.w_k.bias"}
+        for n, gr in grads.items():
+            ref = grads_ref[n]
+            assert np.array_equal(np.zeros_like(ref) if gr is None else gr, ref), n
+        assert att.shape == (2, heads, 1, 1) and np.array_equal(att, att_ref)
+        assert np.array_equal(att, np.ones((2, heads, 1, 1)))
+
+    def test_more_than_one_key_reaches_the_queries(self):
+        stage = ScaStage(6, 4, RandomSource(5), heads=2)
+        g = np.random.default_rng(5)
+        out = stage(Tensor(g.normal(size=(1, 2, 2, 6))),
+                    Tensor(g.normal(size=(1, 2, 2, 4))))
+        reached = reached_ids(out)
+        assert id(stage.attn.w_q.weight) in reached
+        assert id(stage.ln_q.gamma) in reached
+        assert stage.attn.last_attention.shape == (1, 2, 4, 4)
 
 
 class TestAseSuccessive:
@@ -239,21 +296,63 @@ class TestHeadAndForward:
         assert not np.array_equal(base, changed)  # SCM does matter overall
 
     def test_gradients_flow_to_every_parameter(self):
+        # at 128 x 128 every softmax spans four keys; at 64 x 64 the query
+        # and key paths are skipped (TestZeroGradientAudit)
         model = SegModel(EncoderConfig(), DecoderConfig(), seed=1)
         model.train()
-        x = Tensor(np.random.default_rng(8).uniform(size=(2, 3, 64, 64)))
-        mask = np.random.default_rng(9).integers(0, 4, size=(2, 64, 64))
+        x = Tensor(np.random.default_rng(8).uniform(size=(2, 3, 128, 128)))
+        mask = np.random.default_rng(9).integers(0, 4, size=(2, 128, 128))
         loss = cross_entropy(model(x), mask)
         # packed gradients are never None, so walk the graph instead: every
         # parameter must be a leaf that backward reaches from the loss
-        reached, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in reached:
-                reached.add(id(node))
-                stack.extend(p for p in node._parents if p.requires_grad)
+        reached = reached_ids(loss)
         missing = [n for n, p in model.named_parameters() if id(p) not in reached]
         assert missing == []
+
+
+class TestZeroGradientAudit:
+    """The parameters the loss cannot move: the default model on the seed-1
+    batch, one backward. A change that kills or revives a parameter fails
+    here until the lists are updated. This checks the network's structure,
+    not a bound on any value."""
+
+    @staticmethod
+    def _backward(size):
+        model = SegModel(EncoderConfig(), DecoderConfig(), seed=0).train()
+        batch = gen_synthetic_dataset(4, size, size, 4, seed=1)
+        loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
+                             np.stack([s.mask for s in batch]))
+        reached = reached_ids(loss)
+        loss.backward()
+        params = dict(model.named_parameters())
+        unreached = {n for n, p in params.items() if id(p) not in reached}
+        return params, unreached
+
+    def test_64_skips_every_query_and_key_path(self):
+        # every stage attends over one key, so queries and keys cannot
+        # change the output
+        params, unreached = self._backward(64)
+        stages = [f"decoder.ase.blocks.{l}.{t}" for l in range(4) for t in range(3)]
+        skipped = {f"{s}.{leaf}" for s in stages
+                   for leaf in ("ln_q.gamma", "ln_q.beta",
+                                "attn.w_q.weight", "attn.w_q.bias",
+                                "attn.w_k.weight", "attn.w_k.bias")}
+        assert len(skipped) == 72
+        assert unreached == skipped
+        assert {n for n, p in params.items() if not p.grad.any()} == skipped
+
+    def test_128_reaches_everything_and_names_the_dead(self):
+        params, unreached = self._backward(128)
+        assert unreached == set()
+        top = max(np.abs(p.grad).max() for p in params.values())
+        dead = {n for n, p in params.items()
+                if np.abs(p.grad).max() < 1e-12 * top}
+        # a key bias shifts every score of a query alike, which the softmax
+        # cancels; the last stage's level-4 output feeds only a conv whose
+        # train-mode batch norm cancels a per-channel constant
+        assert dead == ({f"decoder.ase.blocks.{l}.{t}.attn.w_k.bias"
+                         for l in range(4) for t in range(3)}
+                        | {"decoder.ase.blocks.3.2.ffn.fc2.bias"})
 
 
 class TestEvalRecordsNoGraph:

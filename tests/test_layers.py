@@ -459,16 +459,25 @@ class TestNodeBudget:
     and each ConvBN, the head's fuse over its four parts included, are one
     node each, and tokens need no layout nodes."""
 
-    def test_default_train_step(self):
+    @staticmethod
+    def _train_step_nodes(size):
         cfg = TrainConfig()
-        enc, dec = EncoderConfig(), DecoderConfig()
-        model = SegModel(enc, dec, seed=0)
+        dec = DecoderConfig()
+        model = SegModel(EncoderConfig(), dec, seed=0)
         model.train()
-        batch = gen_synthetic_dataset(cfg.batch_size, enc.height, enc.width,
+        batch = gen_synthetic_dataset(cfg.batch_size, size, size,
                                       dec.num_classes, seed=0)
         loss = cross_entropy(model(Tensor(np.stack([s.image for s in batch]))),
                              np.stack([s.mask for s in batch]))
-        assert _graph_nodes(loss) == 210
+        return _graph_nodes(loss)
+
+    def test_default_train_step(self):
+        # each of the 12 stages attends over one key and skips ln_q, w_q,
+        # w_k and the attention core: 4 nodes a stage fewer than at 128
+        assert self._train_step_nodes(64) == 162
+
+    def test_train_step_at_128(self):
+        assert self._train_step_nodes(128) == 210
 
     def test_attention_call(self):
         mha = MultiHeadAttention(3, 4, rng(0), heads=2)
