@@ -132,7 +132,7 @@ class TestScaStage:
         for n, gr in grads.items():
             ref = grads_ref[n]
             assert np.array_equal(np.zeros_like(ref) if gr is None else gr, ref), n
-        assert att.shape == (2, heads, 1, 1) and np.array_equal(att, att_ref)
+        assert np.array_equal(att, att_ref)
         assert np.array_equal(att, np.ones((2, heads, 1, 1)))
 
     def test_more_than_one_key_reaches_the_queries(self):
