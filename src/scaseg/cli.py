@@ -113,14 +113,16 @@ def cmd_forward(args) -> int:
             f"at most {len(PALETTE)} classes, got {cfg.decoder.num_classes}")
     logits_path = _out_file(args, "logits.tsr")
     mask_path = _out_file(args, "mask.ppm")
-    model = _build_model(cfg)
-    if args.checkpoint:
-        model.load_state(load_checkpoint(args.checkpoint))
     image = load_tensor(args.input)
     if image.ndim == 3:
         image = image.reshape(1, *image.shape)
+    if image.ndim == 4 and image.shape[0] > 1:
+        raise DataError(f"forward takes one image, got {image.shape[0]} images")
     if not np.isfinite(image.data).all():
         raise DataError("image holds non-finite values (NaN or inf)")
+    model = _build_model(cfg)
+    if args.checkpoint:
+        model.load_state(load_checkpoint(args.checkpoint))
     model.eval()
     logits = model(image)
     save_tensor(logits_path, logits)

@@ -164,7 +164,7 @@ def load_config(path=None, overrides: dict | None = None) -> FullConfig:
     values = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from None

@@ -22,4 +22,4 @@ class NumericalError(ArithmeticError):
 
 
 class UsageError(RuntimeError):
-    """API misuse (e.g. backward on a tensor with no recorded graph)."""
+    """API misuse (e.g. backward through an eval-mode batch norm)."""

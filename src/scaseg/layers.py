@@ -67,10 +67,10 @@ class BatchNorm2d(Module):
     def normalized(self, build) -> Tensor:
         """The output of ``build(stats) -> (out, mean, var)``. Eval mode
         passes the running (mean, var) shaped (1, C, 1, 1), which makes the
-        norm one fixed per-channel affine map (``tensor._affine_norm``).
-        Training mode passes None, so the batch's own statistics are used,
-        and folds them into the running ones, which track the unbiased
-        variance."""
+        norm one fixed per-channel affine map (``tensor._affine_norm``) with
+        no backward. Training mode passes None, so the batch's own
+        statistics are used, and folds them into the running ones, which
+        track the unbiased variance."""
         if not self.training:
             return build((self.running_mean.data.reshape(1, -1, 1, 1),
                           self.running_var.data.reshape(1, -1, 1, 1)))[0]

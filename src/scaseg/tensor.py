@@ -6,17 +6,17 @@ to its parents, except inside a ``recording(False)`` block, which records
 no graph: an eval-mode ``SegModel`` forward and ``gradient_check``'s probe
 forwards run in one. ``Tensor.backward()`` topologically sorts the
 graph and accumulates gradients additively over fan-out, so calling it
-twice without ``zero_grad`` doubles every leaf gradient.
+twice without ``Module.zero_grad`` doubles every leaf gradient.
 
 All primitives are implemented on top of numpy; double precision is the
 default dtype and is what the finite-difference checks assume. The conv and
 normalization math lives in array kernels that return ``(out, backward)``;
 ``conv2d`` and ``normalize`` wrap one kernel each into a node, and the fused
 ``conv_norm`` node chains both, normalizing the conv output in place. Given
-running statistics (eval mode), both use one other kernel instead, batch
-norm as a per-channel affine map, whose γ gradient never divides by γ. The
-conv kernel has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch mean
-would cancel one. A k×k conv node keeps its input alone, never a padded copy
+running statistics (eval mode), both apply batch norm as a fixed per-channel
+affine map instead, whose backward raises ``UsageError``. The conv kernel
+has no bias: ``conv2d`` adds one, and ``conv_norm``'s batch mean would
+cancel one. A k×k conv node keeps its input alone, never a padded copy
 or im2col columns. A 1×1 ``conv_norm`` also takes a list of parts at
 different sizes: each part is projected by its column block of the weight at
 its own size, and the projections are resized and summed at the first part's
@@ -114,10 +114,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        if self.grad is not None:  # in place: a packed gradient stays a view
-            self.grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -531,28 +527,18 @@ def _normalize(x, gamma, beta, axes, channel_axis, eps, inplace):
     return out, backward, mean, var
 
 
-def _affine_norm(x, gamma, beta, stats, channel_axis, eps, source, out=None):
-    """Eval-mode batch norm given ``stats = (μ, σ²)``: ``x·a + (β − μ·a)``,
-    ``a = γ/√(σ² + ε)``, into ``out``, which may be ``x``. Returns ``(out,
-    backward)`` with ``backward(gout, writable=False) -> (gx, ggamma,
-    gbeta)``, which takes ``x`` again from ``source()``, as ``out`` may have
-    overwritten it, for ``gγ = Σ gout·(x − μ)/√(σ² + ε)``: nothing divides by
-    γ or ``a``. ``gx = gout·a`` goes into ``gout`` if ``writable``."""
-    pshape = [1] * x.ndim
-    pshape[channel_axis] = gamma.size
+def _affine_norm(x, gamma, beta, stats, eps, out=None):
+    """Eval-mode batch norm of (B, C, H, W) ``x`` given ``stats = (μ, σ²)``:
+    ``x·a + (β − μ·a)``, ``a = γ/√(σ² + ε)``, into ``out``, which may be x."""
     mean, var = stats
-    a = gamma.reshape(pshape) / np.sqrt(var + eps)
+    a = gamma.reshape(1, -1, 1, 1) / np.sqrt(var + eps)
     out = np.multiply(x, a, out=out)
-    out += beta.reshape(pshape) - mean * a
+    out += beta.reshape(1, -1, 1, 1) - mean * a
+    return out
 
-    def backward(gout, writable=False):
-        axes = tuple(i for i in range(gout.ndim) if pshape[i] == 1)
-        gbeta = np.add.reduce(gout, axes)
-        ggamma = np.add.reduce((source() - mean) * gout, axes)
-        return (np.multiply(gout, a, out=gout if writable else None),
-                ggamma / np.sqrt(var + eps).reshape(-1), gbeta)
 
-    return out, backward
+def _eval_norm_backward(g):
+    raise UsageError("eval-mode batch norm has no gradient; call train() first")
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
@@ -561,18 +547,16 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
 
     Without ``stats`` the mean and (biased) variance are taken over ``axes``
     of ``x`` and differentiated through; ``stats=(mean, var)`` supplies them
-    as per-channel keepdims constants (batch-norm eval mode), and the node
-    is ``_affine_norm``'s map, equal to this to roundoff. ``gamma``
-    and ``beta`` are per-channel along ``channel_axis``. Returns
-    ``(out, mean, var)``, the statistics as keepdims numpy arrays.
+    as (1, C, 1, 1) constants (eval mode), and the node is ``_affine_norm``'s
+    map, equal to this to roundoff, with no backward. ``gamma`` and ``beta``
+    are per-channel along ``channel_axis``. Returns ``(out, mean, var)``.
     """
     if stats is None:
         out, backward, mean, var = _normalize(
             x.data, gamma.data, beta.data, axes, channel_axis, eps, False)
     else:
-        (mean, var), (out, backward) = stats, _affine_norm(
-            x.data, gamma.data, beta.data, stats, channel_axis, eps,
-            lambda: x.data)
+        (mean, var), backward = stats, _eval_norm_backward
+        out = _affine_norm(x.data, gamma.data, beta.data, stats, eps)
     return Tensor._from_op(out, (x, gamma, beta), backward), mean, var
 
 
@@ -726,10 +710,9 @@ def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
     as one node (the batch mean would cancel a conv bias). The conv output
     is this node's own, so the normalization and the ReLU overwrite it in
     place; the backward masks by the output's sign. Values and gradients
-    equal zero-bias ``conv2d``, ``normalize`` and ReLU nodes composed: bit
-    for bit without ``stats``, and to roundoff with them (eval mode), whose
-    backward recomputes the conv output for γ's gradient. Returns ``(out,
-    mean, var)``.
+    equal zero-bias ``conv2d``, ``normalize`` and ReLU nodes composed, bit
+    for bit. With ``stats`` (eval mode) the norm is ``_affine_norm``'s map
+    and the node has no backward. Returns ``(out, mean, var)``.
 
     ``x`` is a tensor or, for a 1×1 stride-1 conv, a list of parts whose
     channels concatenate to ``w``'s input channels: the conv then runs on
@@ -742,10 +725,9 @@ def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
     if stats is None:
         out, norm_backward, mean, var = _normalize(
             y, gamma.data, beta.data, (0, 2, 3), 1, eps, True)
-    else:  # y is overwritten, so the backward recomputes it
-        (mean, var), (out, norm_backward) = stats, _affine_norm(
-            y, gamma.data, beta.data, stats, 1, eps,
-            lambda: _conv2d(xs, w.data, stride, need)[0], out=y)
+    else:
+        (mean, var), out = stats, _affine_norm(y, gamma.data, beta.data,
+                                               stats, eps, out=y)
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -753,8 +735,8 @@ def conv_norm(x, w: Tensor, gamma: Tensor, beta: Tensor, stride: int,
         gy, ggamma, gbeta = norm_backward(g * (out > 0) if relu else g, relu)
         return (*conv_backward(gy), ggamma, gbeta)
 
-    return (Tensor._from_op(out, (*parts, w, gamma, beta), backward),
-            mean, var)
+    return (Tensor._from_op(out, (*parts, w, gamma, beta), backward
+                            if stats is None else _eval_norm_backward), mean, var)
 
 
 def bilinear_resize(x: Tensor, target) -> Tensor:

@@ -129,6 +129,17 @@ class TestForward:
         assert main(["forward", str(inp), "--out", str(tmp_path)]) == 3
         assert "H, W > 0" in capsys.readouterr().err
 
+    def test_batch_of_two_exits_3_before_the_model_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        inp = tmp_path / "batch.tsr"
+        save_tensor(inp, Tensor(np.zeros((2, 3, 64, 64))))
+        monkeypatch.setattr(scaseg.cli, "_build_model", None)  # never called
+        out = tmp_path / "out"
+        assert main(["forward", str(inp), "--out", str(out)] + TINY) == 3
+        assert "forward takes one image, got 2 images" in capsys.readouterr().err
+        assert not (out / "logits.tsr").exists()
+        assert not (out / "mask.ppm").exists()
+
     @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
     def test_non_finite_image_exits_3(self, tmp_path, capsys, bad):
         img = np.random.default_rng(2).uniform(size=(3, 64, 64))

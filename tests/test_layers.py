@@ -6,7 +6,7 @@ import pytest
 from scaseg import (BatchNorm2d, ConfigError, Conv2d, ConvBN, DecoderConfig,
                     EncoderConfig, LayerNorm, MixFFN, MultiHeadAttention,
                     NumericalError, RandomSource, SegModel, ShapeError, Tensor,
-                    TrainConfig, bilinear_resize, cross_entropy,
+                    TrainConfig, UsageError, bilinear_resize, cross_entropy,
                     gen_synthetic_dataset, gradient_check)
 from scaseg.layers import BN_EPS, BN_MOMENTUM
 from scaseg.tensor import normalize
@@ -373,33 +373,42 @@ class TestLayerGradients:
         err = gradient_check(lambda t: (ffn(t) ** 2.0).sum(), x)
         assert err < 1e-4
 
-    def test_conv_bn_eval_mode(self):
-        cb = ConvBN(3, 4, rng(2))
-        cb.eval()
+    def test_eval_mode_batch_norm_refuses_a_backward(self):
+        # eval-mode batch norm is a forward-only affine map: a backward
+        # through it raises rather than return a gradient; in train mode the
+        # same layers pass the gradient check. Channel 0 has γ = 0 and
+        # channel 1 sits far below zero, where the ReLU passes no gradient
         g = np.random.default_rng(3)
-        x = Tensor(g.normal(size=(2, 3, 3, 3)))
-        cb.bn.running_mean.data[...] = g.normal(size=4)
-        cb.bn.running_var.data[...] = g.random(size=4) + 0.5
-        cb.bn.gamma.data[...] = g.normal(size=4)
-        cb.bn.beta.data[...] = g.normal(size=4)
-        for t in (x, cb.conv.weight, cb.bn.gamma, cb.bn.beta):
-            err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
-            assert err < 1e-4
+        cases = [
+            (ConvBN(3, 4, rng(2)), [g.normal(size=(2, 3, 3, 3))]),
+            (ConvBN(3, 4, rng(2), k=3, stride=2, relu=True),
+             [g.normal(size=(2, 3, 5, 5))]),
+            (ConvBN(5, 4, rng(2), relu=True),
+             [g.normal(size=(2, 3, 4, 4)), g.normal(size=(2, 2, 2, 2))]),
+            (BatchNorm2d(4), [g.normal(size=(2, 4, 3, 3))]),
+        ]
+        for layer, arrays in cases:
+            bn = layer if isinstance(layer, BatchNorm2d) else layer.bn
+            bn.running_mean.data[...] = g.normal(size=4)
+            bn.running_var.data[...] = g.random(size=4) + 0.5
+            bn.gamma.data[...] = [0.0, 0.3, 0.3, -0.3]
+            bn.beta.data[...] = [0.5, -50.0, 5.0, 5.0]
+            xs = [Tensor(a) for a in arrays]
+            x = xs[0] if len(xs) == 1 else xs
+            weight = Tensor(g.normal(size=layer(x).shape))
 
-    def test_conv_bn_eval_mode_relu_with_a_zero_gamma(self):
-        # channel 0 has γ = 0, channel 1 sits far below zero, where the ReLU
-        # passes no gradient; a backward dividing by γ or a gives NaN here
-        cb = ConvBN(3, 4, rng(2), k=3, relu=True)
-        cb.eval()
-        g = np.random.default_rng(5)
-        x = Tensor(g.normal(size=(2, 3, 4, 4)))
-        cb.bn.running_mean.data[...] = g.normal(size=4)
-        cb.bn.running_var.data[...] = g.random(size=4) + 0.5
-        cb.bn.gamma.data[...] = [0.0, 0.3, 0.3, -0.3]
-        cb.bn.beta.data[...] = [0.5, -50.0, 5.0, 5.0]
-        for t in (x, cb.conv.weight, cb.bn.gamma, cb.bn.beta):
-            err = gradient_check(lambda _: (cb(x) ** 2.0).sum(), t)
-            assert err < 1e-4
+            def loss(_):
+                return (layer(x) * weight).sum()
+
+            layer.eval()
+            with pytest.raises(UsageError, match="eval-mode batch norm has "
+                               "no gradient; call train"):
+                loss(None).backward()
+            layer.train()
+            params = [bn.gamma, bn.beta] + (
+                [] if layer is bn else [layer.conv.weight])
+            for t in xs + params:
+                assert gradient_check(loss, t) < 1e-4
 
     def test_conv_bn_training_mode_batch_stats_in_graph(self):
         cb = ConvBN(3, 4, rng(3))

@@ -259,6 +259,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config({"encoder_channels": "8,16,32"})
 
+    def test_file_may_start_with_a_utf8_bom(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xef\xbb\xbfiterations = 7\nseed = 5\n")
+        cfg = load_config(path)
+        assert (cfg.train.iterations, cfg.train.seed) == (7, 5)
+
     def test_overrides_beat_file_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("num_blocks = 2\nseed = 5\n")

@@ -124,8 +124,8 @@ class TestCrossEntropy:
             np.put_along_axis(onehot, mask[:, None], 1.0, axis=1)
             assert np.allclose(logits.grad, (p - onehot) / (B * H * W), atol=1e-12)
             # an upstream factor scales the gradient
-            unscaled = logits.grad.copy()  # zero_grad zeroes in place
-            logits.zero_grad()
+            unscaled = logits.grad.copy()  # the reset below is in place
+            logits.grad[...] = 0
             (cross_entropy(logits, mask) * scale).backward()
             np.testing.assert_allclose(logits.grad, scale * unscaled, rtol=1e-14)
 
