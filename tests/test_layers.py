@@ -395,15 +395,16 @@ class TestLayerGradients:
             bn.beta.data[...] = [0.5, -50.0, 5.0, 5.0]
             xs = [Tensor(a) for a in arrays]
             x = xs[0] if len(xs) == 1 else xs
-            weight = Tensor(g.normal(size=layer(x).shape))
+            layer.eval()
+            out = layer(x)  # a direct eval-mode call records its forward
+            weight = Tensor(g.normal(size=out.shape))
+            with pytest.raises(UsageError, match="eval-mode batch norm has "
+                               "no gradient; call train"):
+                (out * weight).sum().backward()
 
             def loss(_):
                 return (layer(x) * weight).sum()
 
-            layer.eval()
-            with pytest.raises(UsageError, match="eval-mode batch norm has "
-                               "no gradient; call train"):
-                loss(None).backward()
             layer.train()
             params = [bn.gamma, bn.beta] + (
                 [] if layer is bn else [layer.conv.weight])
